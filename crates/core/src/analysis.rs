@@ -158,11 +158,12 @@ impl PmSystem {
             .map_err(DpmError::Chain)
     }
 
-    /// Computes the long-run metrics of `policy` analytically.
+    /// Computes the long-run metrics of `policy` analytically, as long-run
+    /// averages from the initial state ([`PmSystem::initial_state_index`]).
     ///
-    /// Works for any policy whose induced chain is unichain (one recurrent
-    /// class; transient states allowed), which covers every policy
-    /// expressible in this model.
+    /// Any policy is accepted: when its induced chain has several
+    /// recurrent classes, the metrics are those of the class mix the
+    /// initial state is absorbed into — see [`PmSystem::evaluate_from`].
     ///
     /// # Errors
     ///
@@ -212,7 +213,8 @@ impl PmSystem {
                 reason: format!("start index {start} out of range"),
             });
         }
-        let generator = self.generator_for(policy)?;
+        // One factorization of the chain serves all four cost vectors.
+        let factors = stationary::ChainFactors::new(&self.sparse_generator_for(policy)?)?;
         let mdp_policy = policy.to_mdp_policy(self)?;
 
         let power_costs = DVector::from_fn(self.n_states(), |i| {
@@ -232,10 +234,10 @@ impl PmSystem {
             }
         });
 
-        let power = stationary::gain_vector(&generator, &power_costs)?[start];
-        let queue_length = stationary::gain_vector(&generator, &delay_costs)?[start];
-        let loss_rate = stationary::gain_vector(&generator, &loss_costs)?[start];
-        let switch_frequency = stationary::gain_vector(&generator, &switch_costs)?[start];
+        let power = factors.gains(&power_costs)?[start];
+        let queue_length = factors.gains(&delay_costs)?[start];
+        let loss_rate = factors.gains(&loss_costs)?[start];
+        let switch_frequency = factors.gains(&switch_costs)?[start];
 
         Ok(PolicyMetrics {
             power,

@@ -3,6 +3,8 @@ use std::fmt;
 
 use dpm_linalg::LinalgError;
 
+use crate::stationary::ChainBlock;
+
 /// Error type for CTMC construction and analysis.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -32,6 +34,18 @@ pub enum CtmcError {
     },
     /// A numerical step failed in the underlying linear algebra.
     Numerical(LinalgError),
+    /// One block of a chain's gain/bias factorization
+    /// ([`crate::stationary::ChainFactors`]) had a numerically zero pivot.
+    SingularBlock {
+        /// Which block failed.
+        block: ChainBlock,
+        /// States in that block.
+        states: usize,
+        /// States in the whole chain.
+        n_states: usize,
+        /// Pivot column, within the block, at which elimination stopped.
+        pivot: usize,
+    },
     /// An analysis parameter was invalid (negative time, bad tolerance, ...).
     InvalidParameter {
         /// Explanation.
@@ -63,6 +77,15 @@ impl fmt::Display for CtmcError {
                 write!(f, "state {state} out of range for chain with {n_states} states")
             }
             CtmcError::Numerical(e) => write!(f, "numerical failure: {e}"),
+            CtmcError::SingularBlock {
+                block,
+                states,
+                n_states,
+                pivot,
+            } => write!(
+                f,
+                "singular {block}, {states} of {n_states} states, pivot {pivot}"
+            ),
             CtmcError::InvalidParameter { reason } => write!(f, "invalid parameter: {reason}"),
             CtmcError::FallbackExhausted { attempts } => {
                 write!(f, "all stationary solver fallbacks failed:")?;
@@ -104,6 +127,20 @@ mod tests {
         };
         assert!(err.to_string().contains('7'));
         assert!(err.to_string().contains('4'));
+    }
+
+    #[test]
+    fn singular_block_names_the_block() {
+        let err = CtmcError::SingularBlock {
+            block: ChainBlock::Transient,
+            states: 77,
+            n_states: 83,
+            pivot: 71,
+        };
+        assert_eq!(
+            err.to_string(),
+            "singular transient block, 77 of 83 states, pivot 71"
+        );
     }
 
     #[test]

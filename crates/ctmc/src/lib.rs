@@ -15,7 +15,9 @@
 //!   iteration on the uniformized chain, matrix-free Gauss–Seidel on the
 //!   balance equations, and the ILU(0)-preconditioned Krylov tier
 //!   (BiCGSTAB, restarted GMRES) for very large sparse chains
-//!   ([`stationary::Method`]);
+//!   ([`stationary::Method`]); and, for possibly multichain chains,
+//!   [`stationary::ChainFactors`], which factors the gain/bias equations
+//!   once per chain and solves them for any number of cost vectors;
 //! * [`graph`] — communicating classes (Definitions 2.3–2.6) via Tarjan's
 //!   strongly-connected-components algorithm, irreducibility and
 //!   connectivity checks;

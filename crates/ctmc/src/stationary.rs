@@ -49,7 +49,7 @@
 //! automatically.
 
 use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
-use dpm_linalg::{CsrMatrix, DVector, SparseLu};
+use dpm_linalg::{CsrMatrix, DMatrix, DVector, LinalgError, Lu, SparseLu};
 
 use crate::{graph, CtmcError, Generator, SparseGenerator};
 
@@ -1055,12 +1055,16 @@ pub fn unichain_average(generator: &Generator, costs: &DVector) -> Result<f64, C
 /// For a state in a closed (recurrent) communicating class the gain is the
 /// class's stationary average of `costs`; for a transient state it is the
 /// absorption-probability-weighted mixture of the reachable classes' gains,
-/// obtained by solving `G_TT g_T = −G_TR g_R`.
+/// obtained by solving `G_TT g_T = −G_TR g_R`. A thin wrapper over
+/// [`ChainFactors`]: factor the chain once with [`ChainFactors::new`] and
+/// call [`ChainFactors::gains`] per cost vector when several are needed.
 ///
 /// # Errors
 ///
-/// Returns [`CtmcError::InvalidParameter`] on a length mismatch and
-/// propagates solver failures.
+/// Returns [`CtmcError::InvalidParameter`] on a length mismatch,
+/// [`CtmcError::SingularBlock`] if the transient block is singular, and
+/// propagates stationary-solver failures of closed classes whose block is
+/// singular.
 ///
 /// # Examples
 ///
@@ -1082,88 +1086,325 @@ pub fn unichain_average(generator: &Generator, costs: &DVector) -> Result<f64, C
 /// # }
 /// ```
 pub fn gain_vector(generator: &Generator, costs: &DVector) -> Result<DVector, CtmcError> {
-    let n = generator.n_states();
-    if costs.len() != n {
-        return Err(CtmcError::InvalidParameter {
-            reason: format!("cost vector length {} != {n}", costs.len()),
-        });
-    }
-    let classes = graph::communicating_classes(generator);
-    // A class is closed iff no transition leaves it.
-    let mut closed = vec![true; classes.len()];
-    for (from, to, _) in generator.transitions() {
-        if classes.class_of(from) != classes.class_of(to) {
-            closed[classes.class_of(from)] = false;
-        }
-    }
+    ChainFactors::new(&SparseGenerator::from_generator(generator))?.gains(costs)
+}
 
-    let mut gains = DVector::zeros(n);
-    let mut is_recurrent = vec![false; n];
-    for (c, &is_closed) in closed.iter().enumerate() {
-        if !is_closed {
-            continue;
+/// A block of a chain's gain/bias factorization ([`ChainFactors`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainBlock {
+    /// The closed class whose lowest-numbered state is `first`.
+    ClosedClass {
+        /// The class's lowest-numbered state (the one whose bias is
+        /// pinned to zero).
+        first: usize,
+    },
+    /// The block of all transient states.
+    Transient,
+}
+
+impl std::fmt::Display for ChainBlock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ChainBlock::ClosedClass { first } => write!(f, "closed-class block of state {first}"),
+            ChainBlock::Transient => write!(f, "transient block"),
         }
-        let members = classes.members(c);
-        let gain = if members.len() == 1 {
-            costs[members[0]]
+    }
+}
+
+/// The gain/bias equations `c − g + G v = 0` of a possibly multichain
+/// chain, factored once and solvable for any number of cost vectors.
+///
+/// Construction runs one Tarjan pass and factors one dense [`Lu`] per
+/// block, each assembled straight from the generator's CSR rows:
+///
+/// * each closed class `C` gets the combined system over the unknowns
+///   `(v_j for j ∈ C \ {first}, g_C)`: the bias is pinned to zero at the
+///   class's lowest-numbered state, and the dense `−1` gain column comes
+///   last, so elimination meets it after the sparse generator columns;
+/// * the transient states `T` share one block `G_TT`, which yields the
+///   absorption-weighted gains from `G_TT g_T = −G_TR g_R` and the bias
+///   from `G_TT v_T = g_T − c_T − G_TR v_R`.
+///
+/// [`ChainFactors::gains`] and [`ChainFactors::solve`] then cost only
+/// triangular solves per block. If a closed class's block is numerically
+/// singular, that class's gain comes from its stationary distribution,
+/// solved through [`Solver::with_default_fallback`]; only a request for
+/// that class's bias ([`ChainFactors::solve`]) fails.
+///
+/// # Examples
+///
+/// ```
+/// use dpm_ctmc::{stationary::ChainFactors, SparseGenerator};
+/// use dpm_linalg::DVector;
+///
+/// # fn main() -> Result<(), dpm_ctmc::CtmcError> {
+/// // 0 -> {1 <-> 2}: one closed class and one transient state.
+/// let g = SparseGenerator::from_transitions(3, &[(0, 1, 1.0), (1, 2, 1.0), (2, 1, 3.0)])?;
+/// let factors = ChainFactors::new(&g)?;
+/// let (gains, bias) = factors.solve(&DVector::from_vec(vec![0.0, 4.0, 8.0]))?;
+/// // π = (3/4, 1/4) on the class: gain 5 everywhere, bias 0 at state 1.
+/// assert!((gains[0] - 5.0).abs() < 1e-12 && (gains[2] - 5.0).abs() < 1e-12);
+/// assert_eq!(bias[1], 0.0);
+/// // Another cost vector reuses the same factors.
+/// let power = factors.gains(&DVector::from_vec(vec![1.0, 1.0, 1.0]))?;
+/// assert!((power[0] - 1.0).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct ChainFactors {
+    n_states: usize,
+    closed: Vec<ClosedClass>,
+    transient: Option<TransientBlock>,
+}
+
+#[derive(Debug, Clone)]
+struct ClosedClass {
+    /// Members in ascending order; `members[0]` has its bias pinned.
+    members: Vec<usize>,
+    factor: ClassFactor,
+}
+
+#[derive(Debug, Clone)]
+enum ClassFactor {
+    /// LU of the combined block: bias of `members[1..]`, then the gain.
+    Lu(Lu),
+    /// The combined block was singular at `pivot`; the gain is `π · c`.
+    Stationary {
+        pi: DVector,
+        stats: SolveStats,
+        pivot: usize,
+    },
+}
+
+#[derive(Debug, Clone)]
+struct TransientBlock {
+    /// Transient states in ascending order.
+    states: Vec<usize>,
+    lu: Lu,
+    /// `(block row, recurrent state, rate)` of every rate leaving the
+    /// block, in row-major order.
+    exits: Vec<(usize, usize, f64)>,
+}
+
+impl ChainFactors {
+    /// Decomposes `generator` into its closed classes and transient states
+    /// and factors each block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::SingularBlock`] if the transient block is
+    /// singular, and propagates the stationary-solver failure of a closed
+    /// class whose block is singular and whose fallback chain is exhausted.
+    pub fn new(generator: &SparseGenerator) -> Result<ChainFactors, CtmcError> {
+        let n = generator.n_states();
+        let csr = generator.csr();
+        let classes = graph::communicating_classes_sparse(generator);
+        // A class is closed iff no transition leaves it.
+        let mut is_closed = vec![true; classes.len()];
+        for (from, to, _) in generator.transitions() {
+            if classes.class_of(from) != classes.class_of(to) {
+                is_closed[classes.class_of(from)] = false;
+            }
+        }
+        // `local[j]`: position of state `j` inside the block it belongs to.
+        let mut local = vec![0usize; n];
+        let mut recurrent = vec![false; n];
+        let mut closed = Vec::new();
+        for c in (0..classes.len()).filter(|&c| is_closed[c]) {
+            let members = classes.members(c).to_vec();
+            for (l, &state) in members.iter().enumerate() {
+                local[state] = l;
+                recurrent[state] = true;
+            }
+            let k = members.len();
+            let mut a = DMatrix::zeros(k, k);
+            for (row, &i) in members.iter().enumerate() {
+                // Closedness keeps every entry inside the class; the pinned
+                // state's column drops out.
+                for (j, rate) in csr.row(i) {
+                    if local[j] > 0 {
+                        a[(row, local[j] - 1)] = rate;
+                    }
+                }
+                a[(row, k - 1)] = -1.0;
+            }
+            let factor = match Lu::new(a) {
+                Ok(lu) => ClassFactor::Lu(lu),
+                Err(LinalgError::Singular { pivot }) => {
+                    let sub = class_generator(generator, &members, &local)?;
+                    // Closed classes inherit whatever conditioning the
+                    // policy induced; escalate through the fallback chain
+                    // rather than letting one class abort the gains.
+                    let (pi, stats) = Solver::new(Method::Lu)
+                        .with_default_fallback()
+                        .solve(&sub)?;
+                    ClassFactor::Stationary { pi, stats, pivot }
+                }
+                Err(e) => return Err(CtmcError::Numerical(e)),
+            };
+            closed.push(ClosedClass { members, factor });
+        }
+
+        let states: Vec<usize> = (0..n).filter(|&i| !recurrent[i]).collect();
+        let transient = if states.is_empty() {
+            None
         } else {
-            // Restrict the generator to the closed class (self-contained by
-            // closedness) and solve its stationary distribution.
-            let mut b = Generator::builder(members.len());
-            for (local_from, &from) in members.iter().enumerate() {
-                for (local_to, &to) in members.iter().enumerate() {
-                    if from != to {
-                        let r = generator.rate(from, to);
-                        if r > 0.0 {
-                            b.add_rate(local_from, local_to, r);
-                        }
+            for (l, &state) in states.iter().enumerate() {
+                local[state] = l;
+            }
+            let t = states.len();
+            let mut a = DMatrix::zeros(t, t);
+            let mut exits = Vec::new();
+            for (row, &i) in states.iter().enumerate() {
+                for (j, rate) in csr.row(i) {
+                    if recurrent[j] {
+                        exits.push((row, j, rate));
+                    } else {
+                        a[(row, local[j])] = rate;
                     }
                 }
             }
-            let sub = b.build()?;
-            // Closed-class sub-generators inherit whatever conditioning the
-            // policy induced; escalate through the fallback chain rather
-            // than letting one ill-conditioned class abort the evaluation.
-            let (pi, _) = Solver::new(FALLBACK_CHAIN[0])
-                .with_default_fallback()
-                .solve(&sub)?;
-            members
-                .iter()
-                .enumerate()
-                .map(|(local, &global)| pi[local] * costs[global])
-                .sum()
+            let lu = Lu::new(a).map_err(|e| match e {
+                LinalgError::Singular { pivot } => CtmcError::SingularBlock {
+                    block: ChainBlock::Transient,
+                    states: t,
+                    n_states: n,
+                    pivot,
+                },
+                e => CtmcError::Numerical(e),
+            })?;
+            Some(TransientBlock { states, lu, exits })
         };
-        for &state in members {
-            gains[state] = gain;
-            is_recurrent[state] = true;
-        }
+        Ok(ChainFactors {
+            n_states: n,
+            closed,
+            transient,
+        })
     }
 
-    // Transient states: G_TT g_T = -G_TR g_R.
-    let transient: Vec<usize> = (0..n).filter(|&i| !is_recurrent[i]).collect();
-    if !transient.is_empty() {
-        let t = transient.len();
-        let mut a = dpm_linalg::DMatrix::zeros(t, t);
-        let mut b = DVector::zeros(t);
-        for (row, &i) in transient.iter().enumerate() {
-            for (col, &j) in transient.iter().enumerate() {
-                a[(row, col)] = generator.rate(i, j);
+    /// Stationary-solver statistics of every closed class whose combined
+    /// block was singular and whose gain therefore came from `π`, in
+    /// class order — empty when every block factored.
+    pub fn class_fallbacks(&self) -> impl Iterator<Item = &SolveStats> {
+        self.closed.iter().filter_map(|class| match &class.factor {
+            ClassFactor::Stationary { stats, .. } => Some(stats),
+            ClassFactor::Lu(_) => None,
+        })
+    }
+
+    /// Per-state gains of `costs`: the class average on closed classes,
+    /// the absorption-weighted mixture on transient states.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::InvalidParameter`] on a length mismatch.
+    pub fn gains(&self, costs: &DVector) -> Result<DVector, CtmcError> {
+        self.solve_blocks(costs, false).map(|(gains, _)| gains)
+    }
+
+    /// Per-state gains and bias of `costs`; the bias is zero at the
+    /// lowest-numbered state of each closed class.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::InvalidParameter`] on a length mismatch and
+    /// [`CtmcError::SingularBlock`] if a closed class's block was singular
+    /// (its gain is still available through [`ChainFactors::gains`]).
+    pub fn solve(&self, costs: &DVector) -> Result<(DVector, DVector), CtmcError> {
+        self.solve_blocks(costs, true)
+    }
+
+    /// Gains, and with `with_bias` the bias (zero otherwise), block by
+    /// block: closed classes first, then the transient block they feed.
+    fn solve_blocks(
+        &self,
+        costs: &DVector,
+        with_bias: bool,
+    ) -> Result<(DVector, DVector), CtmcError> {
+        let n = self.n_states;
+        if costs.len() != n {
+            return Err(CtmcError::InvalidParameter {
+                reason: format!("cost vector length {} != {n}", costs.len()),
+            });
+        }
+        let mut gains = DVector::zeros(n);
+        let mut bias = DVector::zeros(n);
+        for class in &self.closed {
+            let members = &class.members;
+            let k = members.len();
+            let gain = match &class.factor {
+                ClassFactor::Lu(lu) => {
+                    let x = lu.solve(&DVector::from_fn(k, |l| -costs[members[l]]))?;
+                    for (l, &state) in members.iter().enumerate().skip(1) {
+                        bias[state] = x[l - 1];
+                    }
+                    x[k - 1]
+                }
+                ClassFactor::Stationary { pi, pivot, .. } => {
+                    if with_bias {
+                        return Err(CtmcError::SingularBlock {
+                            block: ChainBlock::ClosedClass { first: members[0] },
+                            states: k,
+                            n_states: n,
+                            pivot: *pivot,
+                        });
+                    }
+                    members
+                        .iter()
+                        .enumerate()
+                        .map(|(l, &state)| pi[l] * costs[state])
+                        .sum()
+                }
+            };
+            for &state in members {
+                gains[state] = gain;
             }
-            let mut rhs = 0.0;
-            for j in 0..n {
-                if is_recurrent[j] && j != i {
-                    rhs -= generator.rate(i, j) * gains[j];
+        }
+        if let Some(block) = &self.transient {
+            let t = block.states.len();
+            let mut rhs = DVector::zeros(t);
+            for &(row, j, rate) in &block.exits {
+                rhs[row] -= rate * gains[j];
+            }
+            let g_t = block.lu.solve(&rhs)?;
+            for (row, &i) in block.states.iter().enumerate() {
+                gains[i] = g_t[row];
+            }
+            if with_bias {
+                let mut rhs = DVector::from_fn(t, |row| {
+                    let i = block.states[row];
+                    gains[i] - costs[i]
+                });
+                for &(row, j, rate) in &block.exits {
+                    rhs[row] -= rate * bias[j];
+                }
+                let v_t = block.lu.solve(&rhs)?;
+                for (row, &i) in block.states.iter().enumerate() {
+                    bias[i] = v_t[row];
                 }
             }
-            b[row] = rhs;
         }
-        let g_t = a.lu().map_err(CtmcError::Numerical)?.solve(&b)?;
-        for (row, &i) in transient.iter().enumerate() {
-            gains[i] = g_t[row];
+        Ok((gains, bias))
+    }
+}
+
+/// The dense generator of the closed class `members` (whose local
+/// positions are in `local`), for the stationary fallback.
+fn class_generator(
+    generator: &SparseGenerator,
+    members: &[usize],
+    local: &[usize],
+) -> Result<Generator, CtmcError> {
+    let mut b = Generator::builder(members.len());
+    for (row, &i) in members.iter().enumerate() {
+        for (j, rate) in generator.csr().row(i) {
+            if j != i && rate > 0.0 {
+                b.add_rate(row, local[j], rate);
+            }
         }
     }
-
-    Ok(gains)
+    b.build()
 }
 
 fn sanitize(mut pi: DVector) -> Result<DVector, CtmcError> {
@@ -1954,6 +2195,56 @@ mod gain_vector_tests {
         let gains = gain_vector(&g, &c).unwrap();
         assert!((gains[0] - 7.0).abs() < 1e-10);
         assert!((gains[1] - 7.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn singular_class_block_takes_its_gain_from_gth_and_refuses_its_bias() {
+        // Class {0, 1} with rates 1e15 and 1e-2, fed by transient state 2.
+        // The combined block's second pivot is ≈ 1, under the threshold
+        // 1e-13 · 1e15, so the class falls back to its stationary solve.
+        let g = SparseGenerator::from_transitions(3, &[(0, 1, 1e15), (1, 0, 1e-2), (2, 0, 1.0)])
+            .unwrap();
+        let c = DVector::from_vec(vec![5.0, 3.0, 7.0]);
+        let factors = ChainFactors::new(&g).unwrap();
+        let fallbacks: Vec<&SolveStats> = factors.class_fallbacks().collect();
+        assert_eq!(fallbacks.len(), 1);
+        assert_eq!(fallbacks[0].method(), Method::Gth);
+        let gains = factors.gains(&c).unwrap();
+        // π ≈ (1e-17, 1): the gain is the cost of state 1.
+        for i in 0..3 {
+            assert!((gains[i] - 3.0).abs() < 1e-12, "state {i}: {}", gains[i]);
+        }
+        assert_eq!(gain_vector(&g.to_generator().unwrap(), &c).unwrap(), gains);
+        assert_eq!(
+            factors.solve(&c).unwrap_err(),
+            CtmcError::SingularBlock {
+                block: ChainBlock::ClosedClass { first: 0 },
+                states: 2,
+                n_states: 3,
+                pivot: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn singular_transient_block_is_named() {
+        // Transient states 1 and 2 leave only through a rate far below
+        // the pivot threshold of their 1e15 exchange.
+        let g = SparseGenerator::from_transitions(3, &[(1, 2, 1e15), (2, 1, 1e15), (1, 0, 1e-3)])
+            .unwrap();
+        let err = ChainFactors::new(&g).unwrap_err();
+        assert!(matches!(
+            err,
+            CtmcError::SingularBlock {
+                block: ChainBlock::Transient,
+                states: 2,
+                n_states: 3,
+                ..
+            }
+        ));
+        assert!(err
+            .to_string()
+            .starts_with("singular transient block, 2 of 3 states, pivot"));
     }
 
     #[test]

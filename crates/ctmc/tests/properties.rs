@@ -482,3 +482,150 @@ proptest! {
         }
     }
 }
+
+/// A rate drawn from three scales, so stiff `1e6` rates sit beside `0.1`.
+fn mixed_rate() -> impl Strategy<Value = f64> {
+    (0usize..3, 1.0f64..2.0).prop_map(|(scale, r)| [0.1, 1.0, 1e6][scale] * r)
+}
+
+/// A multichain generator: 1–4 closed classes of 1–4 states (each a ring
+/// plus extra edges inside the class) and 1–5 transient states, each with
+/// an edge into some closed class plus extra edges anywhere. States are
+/// shuffled so classes interleave. Returns the dense generator and three
+/// cost vectors.
+fn multichain_generator() -> impl Strategy<Value = (Generator, Vec<DVector>)> {
+    (prop::collection::vec(1usize..5, 1..5), 1usize..6).prop_flat_map(|(sizes, n_transient)| {
+        let n_closed: usize = sizes.iter().sum();
+        let n = n_closed + n_transient;
+        (
+            prop::collection::vec(0.0f64..1.0, n),
+            prop::collection::vec(mixed_rate(), n),
+            prop::collection::vec((0..n, 0..n, mixed_rate()), 0..2 * n),
+            prop::collection::vec(prop::collection::vec(0.0f64..100.0, n), 3),
+        )
+            .prop_map(move |(keys, own, extras, costs)| {
+                // `perm[logical]` is the state a logical index lands on.
+                let mut perm: Vec<usize> = (0..n).collect();
+                perm.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+                let mut class_of = Vec::with_capacity(n_closed);
+                let mut starts = Vec::with_capacity(sizes.len());
+                for (c, &size) in sizes.iter().enumerate() {
+                    starts.push(class_of.len());
+                    class_of.extend(std::iter::repeat_n(c, size));
+                }
+                let mut b = Generator::builder(n);
+                let mut add = |from: usize, to: usize, rate: f64| {
+                    if from != to {
+                        b.add_rate(perm[from], perm[to], rate);
+                    }
+                };
+                for (i, &c) in class_of.iter().enumerate() {
+                    let offset = i - starts[c];
+                    add(i, starts[c] + (offset + 1) % sizes[c], own[i]);
+                }
+                for (t, &rate) in own.iter().enumerate().skip(n_closed) {
+                    add(t, (t * 7) % n_closed, rate);
+                }
+                for (from, to, rate) in extras {
+                    if from < n_closed {
+                        // Stay inside the class to keep it closed.
+                        let c = class_of[from];
+                        add(from, starts[c] + to % sizes[c], rate);
+                    } else {
+                        add(from, to, rate);
+                    }
+                }
+                let g = b.build().expect("constructed rates are valid");
+                (g, costs.into_iter().map(DVector::from_vec).collect())
+            })
+    })
+}
+
+fn close(a: f64, b: f64, rel: f64) -> bool {
+    (a - b).abs() <= rel * a.abs().max(b.abs()).max(1.0)
+}
+
+proptest! {
+    #[test]
+    fn chain_factors_solve_multichain_gain_bias_equations(
+        (g, costs) in multichain_generator()
+    ) {
+        let n = g.n_states();
+        let sparse = SparseGenerator::from_generator(&g);
+        let factors = stationary::ChainFactors::new(&sparse).expect("every block factors");
+        let c = &costs[0];
+        let (gains, bias) = factors.solve(c).expect("every block factors");
+
+        let classes = graph::communicating_classes(&g);
+        let closed: Vec<&[usize]> = classes
+            .iter()
+            .filter(|members| {
+                members.iter().all(|&i| {
+                    (0..n).all(|j| g.rate(i, j) <= 0.0 || classes.class_of(j) == classes.class_of(i))
+                })
+            })
+            .collect();
+        let mut recurrent = vec![false; n];
+        for members in &closed {
+            // Closed-class gain equals GTH π · c on the class.
+            let mut b = Generator::builder(members.len());
+            for (l, &i) in members.iter().enumerate() {
+                for (m, &j) in members.iter().enumerate() {
+                    if i != j && g.rate(i, j) > 0.0 {
+                        b.add_rate(l, m, g.rate(i, j));
+                    }
+                }
+            }
+            let expected: f64 = if members.len() == 1 {
+                c[members[0]]
+            } else {
+                let sub = b.build().expect("valid class");
+                let pi = solve_with(&sub, Method::Gth).expect("closed classes are irreducible");
+                members.iter().enumerate().map(|(l, &i)| pi[l] * c[i]).sum()
+            };
+            for &i in *members {
+                prop_assert!(close(gains[i], expected, 1e-9), "class gain {} vs GTH {expected}", gains[i]);
+                recurrent[i] = true;
+            }
+            prop_assert_eq!(bias[members[0]], 0.0);
+        }
+
+        // Transient gains weight the class gains by absorption probability.
+        let mut expected_transient = DVector::zeros(n);
+        for (k, members) in closed.iter().enumerate() {
+            let avoid: Vec<usize> = closed
+                .iter()
+                .enumerate()
+                .filter(|&(other, _)| other != k)
+                .flat_map(|(_, m)| m.iter().copied())
+                .collect();
+            let p = dpm_ctmc::hitting::hitting_probabilities(&g, members, &avoid)
+                .expect("absorption probabilities");
+            for i in (0..n).filter(|&i| !recurrent[i]) {
+                expected_transient[i] += p[i] * gains[members[0]];
+            }
+        }
+        for i in (0..n).filter(|&i| !recurrent[i]) {
+            prop_assert!(
+                close(gains[i], expected_transient[i], 1e-9),
+                "transient gain {} vs absorption mix {}", gains[i], expected_transient[i]
+            );
+        }
+
+        // The gain/bias equations hold to a tolerance scaled by ‖G‖·‖v‖.
+        let gv = sparse.csr().mul_vec(&bias);
+        let residual = (0..n).map(|i| (c[i] - gains[i] + gv[i]).abs()).fold(0.0, f64::max);
+        let g_norm = 2.0 * g.max_exit_rate();
+        let tolerance = 1e-12 * (1.0 + c.norm_inf() + g_norm * bias.norm_inf());
+        prop_assert!(residual <= tolerance, "residual {residual:e} above {tolerance:e}");
+
+        // One factorization serves every cost vector, matching one-off calls.
+        for costs_k in &costs {
+            let shared = factors.gains(costs_k).expect("gains");
+            let single = stationary::gain_vector(&g, costs_k).expect("gains");
+            for i in 0..n {
+                prop_assert!(close(shared[i], single[i], 1e-12));
+            }
+        }
+    }
+}

@@ -16,7 +16,7 @@
 //! all stationary policies (and by Theorem 2.3 of the paper over all
 //! piecewise-stationary ones).
 
-use dpm_ctmc::stationary::{Method, Precond, SolverConfig};
+use dpm_ctmc::stationary::{ChainFactors, Method, Precond, SolverConfig};
 use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
 use dpm_linalg::{CsrMatrix, DMatrix, DVector, Lu, SparseLu};
 
@@ -955,71 +955,28 @@ impl MultichainEvaluation {
         &self.gains
     }
 
-    /// Bias (relative value) vector, pinned to zero at one state per
-    /// closed class.
+    /// Bias (relative value) vector, pinned to zero at the lowest-numbered
+    /// state of each closed class.
     #[must_use]
     pub fn bias(&self) -> &DVector {
         &self.bias
     }
 }
 
-/// Evaluates a policy without any unichain assumption: per-state gains via
-/// the communicating-class decomposition, then a bias vector from the
-/// modified evaluation equations (one bias pinned per closed class, that
-/// class's redundant equation dropped).
+/// Evaluates a policy without any unichain assumption: one
+/// [`ChainFactors`] of the policy's sparse generator, solved for its cost
+/// rates. Gains are per class on closed classes and absorption-weighted on
+/// transient states; the bias is pinned to zero at the lowest-numbered
+/// state of each closed class.
 ///
 /// # Errors
 ///
-/// Propagates policy validation and linear-solver failures.
+/// Propagates policy validation failures and [`MdpError::Chain`] for a
+/// singular block ([`dpm_ctmc::CtmcError::SingularBlock`] names which).
 pub fn evaluate_multichain(mdp: &Ctmdp, policy: &Policy) -> Result<MultichainEvaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    let generator = mdp.generator_for(policy)?;
+    let generator = mdp.sparse_generator_for(policy)?;
     let costs = mdp.cost_rates_for(policy)?;
-    let gains = dpm_ctmc::stationary::gain_vector(&generator, &costs)?;
-
-    // Identify closed classes and pin one representative per class.
-    let classes = dpm_ctmc::graph::communicating_classes(&generator);
-    let mut closed = vec![true; classes.len()];
-    for (from, to, _) in generator.transitions() {
-        if classes.class_of(from) != classes.class_of(to) {
-            closed[classes.class_of(from)] = false;
-        }
-    }
-    let mut pinned = vec![false; n];
-    for c in 0..classes.len() {
-        if closed[c] {
-            pinned[classes.members(c)[0]] = true;
-        }
-    }
-    // Unknowns: v_j for non-pinned j. Equations: every non-pinned state's
-    //   c_i - g_i + Σ_j G_ij v_j = 0.
-    let unknowns: Vec<usize> = (0..n).filter(|&j| !pinned[j]).collect();
-    let col_of: Vec<Option<usize>> = {
-        let mut map = vec![None; n];
-        for (c, &j) in unknowns.iter().enumerate() {
-            map[j] = Some(c);
-        }
-        map
-    };
-    let m = unknowns.len();
-    let mut bias = DVector::zeros(n);
-    if m > 0 {
-        let mut a = DMatrix::zeros(m, m);
-        let mut b = DVector::zeros(m);
-        for (row, &i) in unknowns.iter().enumerate() {
-            for (j, &col_slot) in col_of.iter().enumerate() {
-                if let Some(col) = col_slot {
-                    a[(row, col)] = generator.rate(i, j);
-                }
-            }
-            b[row] = gains[i] - costs[i];
-        }
-        let v = a.lu()?.solve(&b)?;
-        for (c, &j) in unknowns.iter().enumerate() {
-            bias[j] = v[c];
-        }
-    }
+    let (gains, bias) = ChainFactors::new(&generator)?.solve(&costs)?;
     Ok(MultichainEvaluation { gains, bias })
 }
 

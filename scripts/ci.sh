@@ -49,6 +49,11 @@ fi
 echo "=== cargo test ==="
 cargo test --workspace -q
 
+echo "=== perfbench tests (the benchmark's calls into the public APIs must compile and pass) ==="
+# perfbench is its own cargo workspace, so `--workspace` above skips it.
+# Release: its tiny-size workload runs take ~2 s optimized, ~40 s in debug.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "=== harness smoke run (tiny plan, 2 workers, determinism gate) ==="
 cargo build --release -q -p dpm-bench --bin heuristics -p dpm-harness --bin artifact_diff
 ./target/release/heuristics --workers 1 --requests 500 --seed 7 \
