@@ -2,10 +2,10 @@
 //!
 //! Measures a single policy-improvement sweep — the nested-list reference
 //! against the flattened [`dpm_mdp::ActionCsr`] kernel — and a full policy
-//! iteration under each evaluation backend, on the paper's model at
-//! several queue capacities.
+//! iteration under each evaluation backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dpm_bench::unichain_ring;
 use dpm_core::{PmSystem, SpModel, SrModel};
 use dpm_mdp::{average, Policy};
 
@@ -53,23 +53,20 @@ fn bench_improvement(c: &mut Criterion) {
 
 fn bench_eval_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("eval_backend");
-    for capacity in [20usize, 50] {
-        let sys = system(capacity);
-        let mdp = sys.ctmdp(1.0).expect("valid weight");
-        let start = Policy::uniform(mdp.n_states(), 0);
-        for (name, backend) in [
-            ("dense", average::EvalBackend::Dense),
-            ("cached_lu", average::EvalBackend::CachedLu),
-            ("sparse_direct", average::EvalBackend::SparseDirect),
-        ] {
+    // Unichain policy iteration is the one that dispatches on
+    // `Options::backend`. It runs on the ring `bench_solve` uses: on the
+    // paper's model the Krylov backend stops with NotConverged.
+    for n_states in [40usize, 100] {
+        let mdp = unichain_ring(n_states).expect("valid ring");
+        let start = Policy::uniform(n_states, 1);
+        for name in ["dense", "sparse-direct", "bicgstab"] {
             let options = average::Options {
-                backend,
+                backend: average::EvalBackend::parse(name).expect("backend name"),
                 ..average::Options::default()
             };
-            group.bench_with_input(BenchmarkId::new(name, capacity), &capacity, |b, _| {
+            group.bench_with_input(BenchmarkId::new(name, n_states), &n_states, |b, _| {
                 b.iter(|| {
-                    average::policy_iteration_multichain(&mdp, start.clone(), &options)
-                        .expect("solvable")
+                    average::policy_iteration_from(&mdp, start.clone(), &options).expect("solvable")
                 });
             });
         }

@@ -1,7 +1,7 @@
 //! Canonical solve-phase benchmark: kernel-level and end-to-end timings
 //! into `BENCH_solve.json`.
 //!
-//! Three measurement groups, each with a correctness check riding along:
+//! Four measurement groups, each with a correctness check riding along:
 //!
 //! 1. **Improvement kernels** at queue capacity `--capacity` (default
 //!    100): a materialized dense per-action row scan (the
@@ -10,11 +10,10 @@
 //!    [`average::improve_step_csr`] — all three must pick identical
 //!    policies.
 //! 2. **Evaluation backends** on a synthetic unichain ring: policy
-//!    iteration under `Dense`, `CachedLu` (LU factorization reuse) and
-//!    `SparseDirect` must converge to the same policy and gain
-//!    (≤ 1e-10), with per-backend wall time recorded. A fourth,
-//!    flag-configured backend rides along: `--method` / `--tol` /
-//!    `--precond` / `--restart` map 1:1 onto
+//!    iteration under `Dense` and `SparseDirect` must converge to the
+//!    same policy and gain (≤ 1e-10), with per-backend wall time
+//!    recorded. A third, flag-configured backend rides along: `--method`
+//!    / `--tol` / `--precond` / `--restart` map 1:1 onto
 //!    [`dpm_ctmc::stationary::SolverConfig`] via
 //!    [`average::EvalBackend::parse`] + `with_config`, and must agree
 //!    with the dense reference to the Krylov bound (≤ 1e-8).
@@ -42,7 +41,7 @@
 //!     [--out results/BENCH_solve.json]
 //! ```
 
-use dpm_bench::{row, rule, time_sweeps, timed};
+use dpm_bench::{row, rule, time_sweeps, timed, unichain_ring};
 use dpm_core::{optimize, PmSystem, SpModel, SrModel};
 use dpm_ctmc::{
     stationary::{self, Method},
@@ -63,24 +62,6 @@ fn paper_mdp(capacity: usize, weight: f64) -> Result<Ctmdp, Box<dyn std::error::
         .capacity(capacity)
         .build()?;
     Ok(system.ctmdp(weight)?)
-}
-
-/// A synthetic irreducible unichain ring (every policy unichain), the
-/// substrate for the evaluation-backend comparison.
-fn ring(n: usize) -> Ctmdp {
-    let mut b = Ctmdp::builder(n);
-    for i in 0..n {
-        let next = (i + 1) % n;
-        let shortcut = (i + 2) % n;
-        #[allow(clippy::cast_precision_loss)]
-        let cost = 1.0 + i as f64 * 0.37;
-        #[allow(clippy::cast_precision_loss)]
-        let rate = 1.0 + i as f64 * 0.01;
-        b.action(i, "step", cost, &[(next, rate)]).expect("valid");
-        b.action(i, "skip", cost * 1.5, &[(next, 0.3), (shortcut, 0.9)])
-            .expect("valid");
-    }
-    b.build().expect("valid ring")
 }
 
 /// Per-action rows of a CTMDP materialized as full dense vectors — the
@@ -236,12 +217,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // 2. Evaluation backends on the unichain ring.
     // ------------------------------------------------------------------
-    let ring_mdp = ring(2 * capacity.max(8));
+    let ring_mdp = unichain_ring(2 * capacity.max(8))?;
     let ring_start = Policy::uniform(ring_mdp.n_states(), 1);
     let mut backend_results = Vec::new();
     for (name, backend) in [
         ("dense", average::EvalBackend::Dense),
-        ("cached_lu", average::EvalBackend::CachedLu),
         ("sparse_direct", average::EvalBackend::SparseDirect),
     ] {
         let options = average::Options {

@@ -464,10 +464,10 @@ impl PmSystemBuilder {
     ///   `1000 × max_rate`), because the occupation-measure LP mixes every
     ///   rate into one constraint matrix and the default surrogate would
     ///   dominate its conditioning;
-    /// * callers selecting an iterative evaluation backend
-    ///   (`dpm_mdp::average::EvalBackend::SparseIterative`, or
-    ///   `dpm_ctmc::stationary::Method::Power`) should lower it themselves
-    ///   (e.g. to `1e2`), because uniformization-based sweeps take
+    /// * callers selecting a uniformization-based solver
+    ///   (`dpm_ctmc::stationary::Method::Power`, or
+    ///   `dpm_mdp::value_iteration`) should lower it themselves (e.g. to
+    ///   `1e2`), because uniformized sweeps take
     ///   `O(instant_rate / slowest_rate)` iterations to mix. The
     ///   Gauss–Seidel balance-equation solver behind
     ///   `dpm_ctmc::stationary::Method::Iterative` relaxes each state

@@ -7,8 +7,7 @@
 //! * [`DVector`] and [`DMatrix`] — growable dense vectors and row-major
 //!   matrices over `f64`;
 //! * [`Lu`] — LU decomposition with partial pivoting, giving linear solves,
-//!   determinants, inverses, and Sherman–Morrison–Woodbury row-update
-//!   solves ([`Lu::solve_updated`]) for factorization reuse;
+//!   determinants and inverses;
 //! * [`SparseLu`] — sparse direct LU over CSR rows, for stiff
 //!   generator-shaped systems where iterative sweeps are impractical;
 //! * [`kron`] / [`kron_sum`] — the Kronecker (tensor) product and sum used by

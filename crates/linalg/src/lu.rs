@@ -184,94 +184,6 @@ impl Lu {
     pub fn inverse(&self) -> Result<DMatrix, LinalgError> {
         self.solve_matrix(&DMatrix::identity(self.dim()))
     }
-
-    /// Solves `(A + Σ_k e_{rₖ} δₖᵀ) x = b` against the cached factorization
-    /// of `A`, where each update `(rₖ, δₖ)` adds `δₖᵀ` to row `rₖ` — i.e.
-    /// replaces the row by `old_row + δ`.
-    ///
-    /// This is the Sherman–Morrison–Woodbury identity specialized to row
-    /// replacement: one base solve, one solve per updated row, and a dense
-    /// `m×m` capacitance system — `O((m+1)·n² + m³)` work against the cached
-    /// factors instead of an `O(n³)` refactorization. This is the
-    /// policy-evaluation access pattern: an improvement step changes the
-    /// chosen action (hence the evaluation-system row) of only a few states,
-    /// so the previous iteration's factorization can be reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b` or any `δ` does not
-    /// have length `n`, [`LinalgError::InvalidInput`] if an updated row index
-    /// is out of bounds or repeated, and [`LinalgError::Singular`] if the
-    /// *updated* matrix is singular (the capacitance system breaks down).
-    pub fn solve_updated(
-        &self,
-        updates: &[(usize, DVector)],
-        b: &DVector,
-    ) -> Result<DVector, LinalgError> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "lu solve_updated",
-                left: (n, n),
-                right: (b.len(), 1),
-            });
-        }
-        let mut seen = vec![false; n];
-        for (row, delta) in updates {
-            if *row >= n {
-                return Err(LinalgError::InvalidInput {
-                    reason: format!("updated row {row} out of bounds for dimension {n}"),
-                });
-            }
-            if seen[*row] {
-                return Err(LinalgError::InvalidInput {
-                    reason: format!("row {row} updated twice"),
-                });
-            }
-            seen[*row] = true;
-            if delta.len() != n {
-                return Err(LinalgError::DimensionMismatch {
-                    operation: "lu solve_updated delta",
-                    left: (n, n),
-                    right: (delta.len(), 1),
-                });
-            }
-        }
-
-        let z = self.solve(b)?;
-        if updates.is_empty() {
-            return Ok(z);
-        }
-        let m = updates.len();
-
-        // W = A⁻¹ [e_{r₁} … e_{rₘ}], one triangular solve pair per column.
-        let mut w_cols = Vec::with_capacity(m);
-        for &(row, _) in updates {
-            let mut unit = DVector::zeros(n);
-            unit[row] = 1.0;
-            w_cols.push(self.solve(&unit)?);
-        }
-
-        // Capacitance C = Iₘ + D·W with D's rows the deltas; solving
-        // C y = D z yields the correction x = z − W y.
-        let mut capacitance = DMatrix::zeros(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                let dot = updates[i].1.dot(&w_cols[j]);
-                capacitance[(i, j)] = dot + f64::from(u8::from(i == j));
-            }
-        }
-        let rhs = DVector::from_fn(m, |i| updates[i].1.dot(&z));
-        let y = Lu::new(capacitance)?.solve(&rhs)?;
-
-        Ok(DVector::from_fn(n, |i| {
-            let mut x = z[i];
-            for k in 0..m {
-                x -= w_cols[k][i] * y[k];
-            }
-            x
-        }))
-    }
 }
 
 #[cfg(test)]
@@ -345,75 +257,6 @@ mod tests {
         let a = DMatrix::identity(3);
         let lu = a.lu().unwrap();
         assert!(lu.solve(&DVector::zeros(2)).is_err());
-    }
-
-    fn row_delta(a: &DMatrix, updated: &DMatrix, row: usize) -> DVector {
-        DVector::from_fn(a.ncols(), |c| updated[(row, c)] - a[(row, c)])
-    }
-
-    #[test]
-    fn solve_updated_matches_refactorized_solve() {
-        let a = DMatrix::from_rows(&[
-            &[4.0, 1.0, 0.0, 2.0],
-            &[1.0, 5.0, 1.0, 0.0],
-            &[0.0, 1.0, 6.0, 1.0],
-            &[2.0, 0.0, 1.0, 7.0],
-        ])
-        .unwrap();
-        let mut updated = a.clone();
-        updated[(1, 0)] = 3.0;
-        updated[(1, 2)] = -2.0;
-        updated[(3, 3)] = 9.5;
-        let b = DVector::from_vec(vec![1.0, -2.0, 3.0, 0.5]);
-
-        let lu = a.clone().lu().unwrap();
-        let updates = vec![
-            (1, row_delta(&a, &updated, 1)),
-            (3, row_delta(&a, &updated, 3)),
-        ];
-        let fast = lu.solve_updated(&updates, &b).unwrap();
-        let reference = updated.clone().lu().unwrap().solve(&b).unwrap();
-        for i in 0..4 {
-            assert!((fast[i] - reference[i]).abs() < 1e-11, "component {i}");
-        }
-        let residual = &updated.mul_vec(&fast) - &b;
-        assert!(residual.norm_inf() < 1e-11);
-    }
-
-    #[test]
-    fn solve_updated_with_no_updates_is_plain_solve() {
-        let a = DMatrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]).unwrap();
-        let b = DVector::from_vec(vec![3.0, 5.0]);
-        let lu = a.lu().unwrap();
-        assert_eq!(
-            lu.solve_updated(&[], &b).unwrap().as_slice(),
-            lu.solve(&b).unwrap().as_slice()
-        );
-    }
-
-    #[test]
-    fn solve_updated_detects_singular_update() {
-        // Replace row 1 with a copy of row 0: the updated matrix is singular.
-        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let lu = a.clone().lu().unwrap();
-        let delta = DVector::from_fn(2, |c| a[(0, c)] - a[(1, c)]);
-        let b = DVector::from_vec(vec![1.0, 1.0]);
-        assert!(matches!(
-            lu.solve_updated(&[(1, delta)], &b),
-            Err(LinalgError::Singular { .. })
-        ));
-    }
-
-    #[test]
-    fn solve_updated_rejects_bad_rows_and_shapes() {
-        let lu = DMatrix::identity(3).lu().unwrap();
-        let b = DVector::zeros(3);
-        assert!(lu.solve_updated(&[(5, DVector::zeros(3))], &b).is_err());
-        assert!(lu.solve_updated(&[(0, DVector::zeros(2))], &b).is_err());
-        assert!(lu
-            .solve_updated(&[(0, DVector::zeros(3)), (0, DVector::zeros(3))], &b)
-            .is_err());
-        assert!(lu.solve_updated(&[], &DVector::zeros(2)).is_err());
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! elimination over sorted sparse rows, keeping only the fill-in that
 //! actually occurs. For the generator-shaped systems this workspace solves
 //! (`O(1)` nonzeros per row plus at most one dense column), elimination cost
-//! is near-linear in the state count, which removes the
-//! `O(instant_rate / slowest_rate)` sweep-count caveat of the iterative
-//! sparse policy-evaluation backend: a direct solve does not care how stiff
-//! the rate spectrum is.
+//! is near-linear in the state count, and unlike uniformization sweeps
+//! (whose count grows as `O(instant_rate / slowest_rate)`) a direct solve
+//! does not care how stiff the rate spectrum is.
 //!
 //! Callers assembling policy-evaluation systems should order any dense
 //! column (the gain column of the bias equations) *last*: fill-in produced
@@ -360,9 +359,9 @@ mod tests {
 
     #[test]
     fn stiff_rate_spread_is_solved_directly() {
-        // Rates spanning six orders of magnitude: the regime where the
-        // iterative evaluation backend needs O(rate ratio) sweeps but a
-        // direct factorization is unaffected.
+        // Rates spanning six orders of magnitude: the regime where
+        // uniformized sweeps need O(rate ratio) iterations but a direct
+        // factorization is unaffected.
         let a = DMatrix::from_rows(&[
             &[-1e6, 1e6, 0.0],
             &[1.0, -1.0 - 1e-3, 1e-3],

@@ -16,69 +16,29 @@
 //! all stationary policies (and by Theorem 2.3 of the paper over all
 //! piecewise-stationary ones).
 
+use std::cmp::Ordering;
+
 use dpm_ctmc::stationary::{ChainFactors, Method, Precond, SolverConfig};
 use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
-use dpm_linalg::{CsrMatrix, DMatrix, DVector, Lu, SparseLu};
+use dpm_linalg::{CsrMatrix, DMatrix, DVector, LinalgError, SparseLu};
 
 use crate::{ActionCsr, Ctmdp, MdpError, Policy};
-
-/// Margin applied to the uniformization constant by the sparse iterative
-/// evaluation backend.
-const UNIFORMIZATION_MARGIN: f64 = 1.05;
-
-/// Default absolute tolerance on the gain estimate for
-/// [`EvalBackend::SparseIterative`].
-pub const ITERATIVE_GAIN_TOLERANCE: f64 = 1e-9;
-
-/// Default sweep budget for [`EvalBackend::SparseIterative`].
-pub const ITERATIVE_MAX_SWEEPS: usize = 1_000_000;
 
 /// Linear-solver backend used by the policy-evaluation step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum EvalBackend {
     /// Dense LU solve of the `n`-unknown evaluation system. Exact to
-    /// rounding, `O(n³)` per evaluation; the default.
+    /// rounding, `O(n³)` per evaluation; the default and the reference the
+    /// other backends are checked against.
     #[default]
     Dense,
-    /// Relative value iteration on the uniformized chain over the policy's
-    /// sparse generator. `O(nnz)` per sweep with no dense matrix ever
-    /// assembled, but the sweep count grows with the chain's stiffness:
-    /// the uniformization constant is set by the fastest rate, so the
-    /// sweeps needed scale as `O(instant_rate / slowest_rate)` and the
-    /// default instant-rate surrogate (`χ(s,s) = 10⁶`) needs far more
-    /// than the [`ITERATIVE_MAX_SWEEPS`] budget. Re-pose the model with a
-    /// gentler instant rate (e.g. `PmSystemBuilder::instant_rate(1e2)`,
-    /// which converges comfortably on the paper's models up to Q = 50)
-    /// before selecting this backend — or use [`EvalBackend::SparseDirect`],
-    /// whose factorization cost is independent of the rate spread.
-    SparseIterative,
     /// Sparse direct LU solve of the evaluation system over the policy's
     /// CSR generator, with the dense gain column ordered last so fill-in
     /// stays `O(nnz)`. Exact to rounding like [`EvalBackend::Dense`] but
-    /// near-linear in the state count for generator-shaped sparsity, and —
-    /// unlike [`EvalBackend::SparseIterative`] — indifferent to stiffness:
-    /// instant-rate surrogates cost nothing extra, retiring that backend's
-    /// re-posing caveat.
+    /// near-linear in the state count for generator-shaped sparsity, and
+    /// indifferent to stiffness: instant-rate surrogates cost nothing
+    /// extra.
     SparseDirect,
-    /// Dense LU with factorization reuse across policy-iteration rounds:
-    /// the evaluation system's row `i` depends only on state `i`'s chosen
-    /// action, so after an improvement step that changes `m` actions the
-    /// cached factors are corrected with a Sherman–Morrison–Woodbury
-    /// row-update solve (`O((m+1)·n²)`) instead of refactorized
-    /// (`O(n³)`). Falls back to a full refactorization when more than
-    /// `n/4` rows changed or an `O(nnz)` residual check rejects the
-    /// updated solve. Outside policy iteration this behaves exactly like
-    /// [`EvalBackend::Dense`].
-    CachedLu,
-    /// Graceful degradation: the dense LU solve runs first, and a numerical
-    /// failure — a `Singular`-induced [`MdpError::NotUnichain`], any
-    /// [`MdpError::Numerical`], or a non-finite gain/bias — triggers one
-    /// retry with the sparse iterative backend. Costs nothing on healthy
-    /// models (the dense path wins immediately) and keeps policy iteration
-    /// alive on generators conditioned badly enough that LU's relative
-    /// pivot threshold misfires (e.g. uniformly fast rates dwarfing the
-    /// unit gain column).
-    Resilient,
     /// Preconditioned Krylov solve of the same sparse evaluation system
     /// [`EvalBackend::SparseDirect`] assembles — `O(nnz)` per iteration
     /// with no factorization fill-in at all, the tier for 10⁴–10⁶-state
@@ -108,10 +68,7 @@ impl EvalBackend {
     pub fn name(&self) -> &'static str {
         match self {
             EvalBackend::Dense => "dense",
-            EvalBackend::SparseIterative => "sparse-iterative",
             EvalBackend::SparseDirect => "sparse-direct",
-            EvalBackend::CachedLu => "cached-lu",
-            EvalBackend::Resilient => "resilient",
             EvalBackend::SparseKrylov { method, .. } => method.name(),
         }
     }
@@ -123,10 +80,7 @@ impl EvalBackend {
     pub fn parse(name: &str) -> Option<EvalBackend> {
         match name {
             "dense" => Some(EvalBackend::Dense),
-            "sparse-iterative" => Some(EvalBackend::SparseIterative),
             "sparse-direct" => Some(EvalBackend::SparseDirect),
-            "cached-lu" => Some(EvalBackend::CachedLu),
-            "resilient" => Some(EvalBackend::Resilient),
             "bicgstab" | "gmres" => Some(EvalBackend::SparseKrylov {
                 method: Method::parse(name)?,
                 config: SolverConfig::default(),
@@ -159,9 +113,15 @@ pub struct Options {
     /// An action must beat the incumbent's test quantity by more than this
     /// to replace it — guards against cycling on ties.
     pub improvement_tolerance: f64,
-    /// State whose bias is pinned to zero.
+    /// State whose bias is pinned to zero. Read only by
+    /// [`policy_iteration`] and [`policy_iteration_from`];
+    /// [`policy_iteration_multichain`] always pins the bias at each closed
+    /// class's lowest-numbered state.
     pub reference_state: usize,
-    /// Linear-solver backend for the evaluation step.
+    /// Linear-solver backend for the evaluation step. Read only by
+    /// [`policy_iteration`] and [`policy_iteration_from`];
+    /// [`policy_iteration_multichain`] always evaluates through
+    /// [`ChainFactors`].
     pub backend: EvalBackend,
 }
 
@@ -285,6 +245,73 @@ fn evaluation_residual(
     Ok(worst)
 }
 
+/// Validates `policy` and `reference_state` against `mdp`, returning the
+/// state count.
+fn check_inputs(mdp: &Ctmdp, policy: &Policy, reference_state: usize) -> Result<usize, MdpError> {
+    mdp.check_policy(policy)?;
+    let n = mdp.n_states();
+    if reference_state >= n {
+        return Err(MdpError::InvalidParameter {
+            reason: format!("reference state {reference_state} out of range for {n} states"),
+        });
+    }
+    Ok(n)
+}
+
+/// Column of the bias unknown `v_j` in an evaluation system whose bias
+/// columns start at `first`; the pinned reference state has none.
+fn bias_column(j: usize, reference_state: usize, first: usize) -> Option<usize> {
+    match j.cmp(&reference_state) {
+        Ordering::Less => Some(first + j),
+        Ordering::Equal => None,
+        Ordering::Greater => Some(first + j - 1),
+    }
+}
+
+/// Largest power of two not above `max(1, max_abs)`, where `max_abs` is
+/// the largest generator entry of an evaluation system: the magnitude of
+/// its gain column.
+///
+/// A unit gain column beside uniformly fast rates (a 2-cycle at 1e14)
+/// falls under LU's relative pivot threshold `1e-13·max|A|`, and a healthy
+/// chain is misdiagnosed as multichain. Filling the column with `−s` keeps
+/// it on the generator's scale, and the gain is `s` times its unknown.
+/// Because `s` is a power of two the scaling is exact: every system the
+/// unit column factored gives bit-identical gain and bias, and the pivot
+/// threshold itself does not move (`s ≤ max(1, max|A|)`).
+fn gain_scale(max_abs: f64) -> f64 {
+    // Clearing a positive normal float's mantissa rounds it down to a
+    // power of two.
+    f64::from_bits(max_abs.max(1.0).to_bits() & !((1u64 << 52) - 1))
+}
+
+/// Reads gain and bias off a solved evaluation system whose bias columns
+/// start at `first_bias` and whose gain unknown, scaled by `scale`, sits
+/// in column `gain_column`.
+fn unpack(
+    solution: &DVector,
+    reference_state: usize,
+    first_bias: usize,
+    gain_column: usize,
+    scale: f64,
+) -> Evaluation {
+    let bias = DVector::from_fn(solution.len(), |j| {
+        bias_column(j, reference_state, first_bias).map_or(0.0, |c| solution[c])
+    });
+    Evaluation {
+        gain: scale * solution[gain_column],
+        bias,
+    }
+}
+
+/// Maps a singular evaluation system to the unichain diagnosis.
+fn singular_is_multichain(e: LinalgError) -> MdpError {
+    match e {
+        LinalgError::Singular { .. } => MdpError::NotUnichain { iteration: 0 },
+        e => MdpError::Numerical(e),
+    }
+}
+
 /// Solves the evaluation equations for `policy`, returning its gain and
 /// bias.
 ///
@@ -298,120 +325,34 @@ pub fn evaluate(
     policy: &Policy,
     reference_state: usize,
 ) -> Result<Evaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
-    }
+    let n = check_inputs(mdp, policy, reference_state)?;
     let generator = mdp.generator_for(policy)?;
     let costs = mdp.cost_rates_for(policy)?;
 
-    // Unknowns: x = (g, v_j for j != reference). Equation for each state i:
-    //   -g + Σ_j G_ij v_j = -c_i       (with v_reference = 0)
-    let col_of = |j: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match j.cmp(&reference_state) {
-            Ordering::Less => Some(1 + j),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(j),
-        }
-    };
+    // Unknowns: x = (g/s, v_j for j != reference). Equation for each state
+    // i, with s = gain_scale(max |G_ij|) and v_reference = 0:
+    //   -s·(g/s) + Σ_j G_ij v_j = -c_i
     let mut a = DMatrix::zeros(n, n);
-    let mut b = DVector::zeros(n);
+    let mut max_abs = 0.0f64;
     for i in 0..n {
-        a[(i, 0)] = -1.0;
         for j in 0..n {
-            if let Some(c) = col_of(j) {
+            if let Some(c) = bias_column(j, reference_state, 1) {
                 a[(i, c)] = generator.rate(i, j);
+                max_abs = max_abs.max(a[(i, c)].abs());
             }
         }
-        b[i] = -costs[i];
     }
-    let solution = match a.lu() {
-        Ok(lu) => lu.solve(&b).map_err(MdpError::Numerical)?,
-        Err(dpm_linalg::LinalgError::Singular { .. }) => {
-            return Err(MdpError::NotUnichain { iteration: 0 });
-        }
-        Err(e) => return Err(MdpError::Numerical(e)),
-    };
-    let gain = solution[0];
-    let bias = DVector::from_fn(n, |j| match col_of(j) {
-        Some(c) => solution[c],
-        None => 0.0,
-    });
-    Ok(Evaluation { gain, bias })
-}
-
-/// Solves the evaluation equations iteratively over the policy's sparse
-/// generator — relative value iteration `h ← c/Λ + Ph − (c/Λ + Ph)[ref]·1`
-/// on the uniformized chain `P = I + G/Λ`, computed matrix-free in
-/// `O(nnz)` per sweep.
-///
-/// At convergence `Λ·(c/Λ + Ph − h)` is the constant gain vector `g·1` and
-/// `h` is the bias with `h[ref] = 0`, matching [`evaluate`] to the
-/// tolerance. See [`EvalBackend::SparseIterative`] for when this pays off
-/// and the stiffness caveat.
-///
-/// # Errors
-///
-/// As [`evaluate`], except a multichain policy surfaces as
-/// [`MdpError::NotConverged`] (its per-class gains never equalize) rather
-/// than [`MdpError::NotUnichain`].
-pub fn evaluate_iterative(
-    mdp: &Ctmdp,
-    policy: &Policy,
-    reference_state: usize,
-) -> Result<Evaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
+    let scale = gain_scale(max_abs);
+    for i in 0..n {
+        a[(i, 0)] = -scale;
     }
-    let generator = mdp.sparse_generator_for(policy)?;
-    let costs = mdp.cost_rates_for(policy)?;
-    let lambda = UNIFORMIZATION_MARGIN * generator.max_exit_rate();
-    if lambda <= 0.0 {
-        // No transitions anywhere: unichain only in the single-state case.
-        if n == 1 {
-            return Ok(Evaluation {
-                gain: costs[0],
-                bias: DVector::zeros(1),
-            });
-        }
-        return Err(MdpError::NotUnichain { iteration: 0 });
-    }
-    let mut scaled_costs = costs;
-    scaled_costs.scale_mut(1.0 / lambda);
-
-    let mut h = DVector::zeros(n);
-    for _ in 0..ITERATIVE_MAX_SWEEPS {
-        // w = c/Λ + P h = c/Λ + h + (G h)/Λ.
-        let mut w = generator.csr().mul_vec(&h);
-        w.scale_mut(1.0 / lambda);
-        w.axpy(1.0, &h);
-        w.axpy(1.0, &scaled_costs);
-
-        let mut min_delta = f64::INFINITY;
-        let mut max_delta = f64::NEG_INFINITY;
-        for i in 0..n {
-            let delta = w[i] - h[i];
-            min_delta = min_delta.min(delta);
-            max_delta = max_delta.max(delta);
-        }
-        let gain = lambda * 0.5 * (max_delta + min_delta);
-        let shift = w[reference_state];
-        h = w.map(|x| x - shift);
-        if lambda * (max_delta - min_delta) <= ITERATIVE_GAIN_TOLERANCE {
-            return Ok(Evaluation { gain, bias: h });
-        }
-    }
-    Err(MdpError::NotConverged {
-        iterations: ITERATIVE_MAX_SWEEPS,
-    })
+    let b = DVector::from_fn(n, |i| -costs[i]);
+    let solution = a
+        .lu()
+        .map_err(singular_is_multichain)?
+        .solve(&b)
+        .map_err(MdpError::Numerical)?;
+    Ok(unpack(&solution, reference_state, 1, 0, scale))
 }
 
 /// Rejects evaluations contaminated by NaN/Inf — a solver that "succeeds"
@@ -420,47 +361,65 @@ fn require_finite(eval: Evaluation) -> Result<Evaluation, MdpError> {
     if eval.gain.is_finite() && eval.bias.iter().all(f64::is_finite) {
         Ok(eval)
     } else {
-        Err(MdpError::Numerical(dpm_linalg::LinalgError::InvalidInput {
+        Err(MdpError::Numerical(LinalgError::InvalidInput {
             reason: "policy evaluation produced non-finite gain or bias".to_owned(),
         }))
     }
 }
 
-/// Policy evaluation with graceful degradation ([`EvalBackend::Resilient`]).
-///
-/// The dense solve runs first; on a numerical failure (including non-finite
-/// output) the evaluation is retried with [`evaluate_iterative`]. Validation
-/// errors ([`MdpError::InvalidPolicy`], [`MdpError::InvalidParameter`])
-/// propagate untouched — retrying cannot fix a malformed input.
-///
-/// # Errors
-///
-/// If both backends fail, the dense error is returned: it names the root
-/// cause (e.g. a singular evaluation system), of which the iterative
-/// failure is usually a downstream symptom.
-pub fn evaluate_resilient(
-    mdp: &Ctmdp,
-    policy: &Policy,
+/// The sparse evaluation system of one policy, shared by the sparse direct
+/// and Krylov backends. Unknowns put the bias components for
+/// `j != reference` first and the scaled gain *last*: the gain column is
+/// the system's only dense column, and eliminating it last keeps the
+/// direct factorization's fill-in `O(nnz)`.
+struct SparseSystem {
+    a: CsrMatrix,
+    b: DVector,
     reference_state: usize,
-) -> Result<Evaluation, MdpError> {
-    match evaluate(mdp, policy, reference_state).and_then(require_finite) {
-        Ok(eval) => Ok(eval),
-        Err(e @ (MdpError::InvalidPolicy { .. } | MdpError::InvalidParameter { .. })) => Err(e),
-        Err(dense_error) => evaluate_iterative(mdp, policy, reference_state)
-            .and_then(require_finite)
-            .map_err(|_| dense_error),
+    /// The gain is `scale` times the last unknown (see [`gain_scale`]).
+    scale: f64,
+}
+
+impl SparseSystem {
+    fn assemble(mdp: &Ctmdp, policy: &Policy, reference_state: usize) -> Result<Self, MdpError> {
+        let n = check_inputs(mdp, policy, reference_state)?;
+        let generator = mdp.sparse_generator_for(policy)?;
+        let costs = mdp.cost_rates_for(policy)?;
+        let mut triplets = Vec::with_capacity(generator.csr().nnz() + n);
+        let mut max_abs = 0.0f64;
+        for (i, j, v) in generator.csr().iter() {
+            if let Some(c) = bias_column(j, reference_state, 0) {
+                triplets.push((i, c, v));
+                max_abs = max_abs.max(v.abs());
+            }
+        }
+        let scale = gain_scale(max_abs);
+        triplets.extend((0..n).map(|i| (i, n - 1, -scale)));
+        Ok(SparseSystem {
+            a: CsrMatrix::from_triplets(n, n, &triplets).map_err(MdpError::Numerical)?,
+            b: DVector::from_fn(n, |i| -costs[i]),
+            reference_state,
+            scale,
+        })
+    }
+
+    fn evaluation(&self, solution: &DVector) -> Evaluation {
+        unpack(
+            solution,
+            self.reference_state,
+            0,
+            solution.len() - 1,
+            self.scale,
+        )
     }
 }
 
 /// Solves the evaluation equations by sparse direct LU over the policy's
 /// CSR generator ([`EvalBackend::SparseDirect`]).
 ///
-/// Unknown ordering puts the bias components first and the gain *last*:
-/// the gain column is the only dense column of the system, and eliminating
-/// it last keeps the factorization's fill-in `O(nnz)`. Because the solve is
-/// direct, stiff rate spectra (instant-event surrogate rates) cost nothing
-/// beyond their entries — the caveat that forces
-/// [`EvalBackend::SparseIterative`] onto re-posed models does not apply.
+/// The gain is ordered last, so fill-in stays `O(nnz)`. Because the solve
+/// is direct, stiff rate spectra (instant-event surrogate rates) cost
+/// nothing beyond their entries.
 ///
 /// # Errors
 ///
@@ -471,50 +430,12 @@ pub fn evaluate_sparse_direct(
     policy: &Policy,
     reference_state: usize,
 ) -> Result<Evaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
-    }
-    let generator = mdp.sparse_generator_for(policy)?;
-    let costs = mdp.cost_rates_for(policy)?;
-
-    // Unknowns: x = (v_j for j != reference, then g). Equation for state i:
-    //   Σ_j G_ij v_j − g = −c_i        (with v_reference = 0)
-    let col_of = |j: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match j.cmp(&reference_state) {
-            Ordering::Less => Some(j),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(j - 1),
-        }
-    };
-    let mut triplets = Vec::with_capacity(generator.csr().nnz() + n);
-    for (i, j, v) in generator.csr().iter() {
-        if let Some(c) = col_of(j) {
-            triplets.push((i, c, v));
-        }
-    }
-    for i in 0..n {
-        triplets.push((i, n - 1, -1.0));
-    }
-    let a = CsrMatrix::from_triplets(n, n, &triplets).map_err(MdpError::Numerical)?;
-    let b = DVector::from_fn(n, |i| -costs[i]);
-    let solution = match SparseLu::new(&a) {
-        Ok(lu) => lu.solve(&b).map_err(MdpError::Numerical)?,
-        Err(dpm_linalg::LinalgError::Singular { .. }) => {
-            return Err(MdpError::NotUnichain { iteration: 0 });
-        }
-        Err(e) => return Err(MdpError::Numerical(e)),
-    };
-    let gain = solution[n - 1];
-    let bias = DVector::from_fn(n, |j| match col_of(j) {
-        Some(c) => solution[c],
-        None => 0.0,
-    });
-    Ok(Evaluation { gain, bias })
+    let system = SparseSystem::assemble(mdp, policy, reference_state)?;
+    let solution = SparseLu::new(&system.a)
+        .map_err(singular_is_multichain)?
+        .solve(&system.b)
+        .map_err(MdpError::Numerical)?;
+    Ok(system.evaluation(&solution))
 }
 
 /// Solves the evaluation equations with a preconditioned Krylov method
@@ -546,69 +467,33 @@ pub fn evaluate_krylov(
             reason: format!("evaluation backend requires a Krylov method, got {method:?}"),
         });
     }
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
-    }
-    let generator = mdp.sparse_generator_for(policy)?;
-    let costs = mdp.cost_rates_for(policy)?;
-
-    // Same unknown ordering as the sparse direct backend: bias components
-    // for j != reference first, the gain last (its dense column is the
-    // system's only dense column).
-    let col_of = |j: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match j.cmp(&reference_state) {
-            Ordering::Less => Some(j),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(j - 1),
-        }
-    };
-    let mut triplets = Vec::with_capacity(generator.csr().nnz() + n);
-    for (i, j, v) in generator.csr().iter() {
-        if let Some(c) = col_of(j) {
-            triplets.push((i, c, v));
-        }
-    }
-    for i in 0..n {
-        triplets.push((i, n - 1, -1.0));
-    }
-    let a = CsrMatrix::from_triplets(n, n, &triplets).map_err(MdpError::Numerical)?;
-    let b = DVector::from_fn(n, |i| -costs[i]);
+    let system = SparseSystem::assemble(mdp, policy, reference_state)?;
     let options = KrylovOptions {
         tolerance: config.tolerance,
         max_iterations: config.max_iterations,
         restart: config.restart,
     };
     let precond = match config.precond {
-        Precond::Ilu0 => match Ilu0::new(&a) {
+        Precond::Ilu0 => match Ilu0::new(&system.a) {
             Ok(m) => Some(m),
             // Deterministic downgrade, mirroring the stationary solver.
-            Err(dpm_linalg::LinalgError::Singular { .. }) => None,
+            Err(LinalgError::Singular { .. }) => None,
             Err(e) => return Err(MdpError::Numerical(e)),
         },
         Precond::None => None,
     };
     let result = match method {
-        Method::Gmres => krylov::gmres(&a, &b, precond.as_ref(), &options),
-        _ => krylov::bicgstab(&a, &b, precond.as_ref(), &options),
+        Method::Gmres => krylov::gmres(&system.a, &system.b, precond.as_ref(), &options),
+        _ => krylov::bicgstab(&system.a, &system.b, precond.as_ref(), &options),
     };
     let solution = match result {
         Ok(r) => r.solution,
-        Err(dpm_linalg::LinalgError::NotConverged { iterations, .. }) => {
+        Err(LinalgError::NotConverged { iterations, .. }) => {
             return Err(MdpError::NotConverged { iterations });
         }
         Err(e) => return Err(MdpError::Numerical(e)),
     };
-    let gain = solution[n - 1];
-    let bias = DVector::from_fn(n, |j| match col_of(j) {
-        Some(c) => solution[c],
-        None => 0.0,
-    });
-    require_finite(Evaluation { gain, bias })
+    require_finite(system.evaluation(&solution))
 }
 
 /// Dispatches the evaluation step according to `backend`.
@@ -619,151 +504,12 @@ fn evaluate_with(
     backend: EvalBackend,
 ) -> Result<Evaluation, MdpError> {
     match backend {
-        // A one-off evaluation has no factorization to reuse, so the cached
-        // backend degenerates to the plain dense solve.
-        EvalBackend::Dense | EvalBackend::CachedLu => evaluate(mdp, policy, reference_state),
-        EvalBackend::SparseIterative => evaluate_iterative(mdp, policy, reference_state),
+        EvalBackend::Dense => evaluate(mdp, policy, reference_state),
         EvalBackend::SparseDirect => evaluate_sparse_direct(mdp, policy, reference_state),
-        EvalBackend::Resilient => evaluate_resilient(mdp, policy, reference_state),
         EvalBackend::SparseKrylov { method, config } => {
             evaluate_krylov(mdp, policy, reference_state, method, &config)
         }
     }
-}
-
-/// Cached dense factorization for [`EvalBackend::CachedLu`]: the LU factors
-/// of the evaluation system assembled for `actions`, reusable while the
-/// policy stays close to that base.
-struct EvalCache {
-    lu: Lu,
-    /// Policy actions at factorization time, row by row.
-    actions: Vec<usize>,
-}
-
-/// Maps evaluation-system singularities to the unichain diagnosis, like
-/// [`evaluate`].
-fn lu_or_not_unichain(a: DMatrix) -> Result<Lu, MdpError> {
-    match a.lu() {
-        Ok(lu) => Ok(lu),
-        Err(dpm_linalg::LinalgError::Singular { .. }) => {
-            Err(MdpError::NotUnichain { iteration: 0 })
-        }
-        Err(e) => Err(MdpError::Numerical(e)),
-    }
-}
-
-/// Policy evaluation with dense-LU factorization reuse across rounds.
-///
-/// Assembles the full system and factorizes on the first call (or whenever
-/// the policy drifted more than `n/4` rows from the cached base), and
-/// otherwise corrects the cached solve with a Sherman–Morrison–Woodbury
-/// row update covering exactly the states whose action differs from the
-/// base policy. Every updated solve is certified against the evaluation
-/// equations over the sparse generator; a residual above
-/// `1e-8·(1 + |g| + ‖c‖_∞)` triggers a full refactorization, so results
-/// stay within direct-solve accuracy unconditionally.
-fn evaluate_cached(
-    mdp: &Ctmdp,
-    policy: &Policy,
-    reference_state: usize,
-    cache: &mut Option<EvalCache>,
-) -> Result<Evaluation, MdpError> {
-    mdp.check_policy(policy)?;
-    let n = mdp.n_states();
-    if reference_state >= n {
-        return Err(MdpError::InvalidParameter {
-            reason: format!("reference state {reference_state} out of range for {n} states"),
-        });
-    }
-    let col_of = |j: usize| -> Option<usize> {
-        use std::cmp::Ordering;
-        match j.cmp(&reference_state) {
-            Ordering::Less => Some(1 + j),
-            Ordering::Equal => None,
-            Ordering::Greater => Some(j),
-        }
-    };
-    let costs = mdp.cost_rates_for(policy)?;
-    let b = DVector::from_fn(n, |i| -costs[i]);
-
-    let refresh_limit = (n / 4).max(1);
-    let changed: Vec<usize> = match cache {
-        Some(c) => (0..n)
-            .filter(|&i| c.actions[i] != policy.action(i))
-            .collect(),
-        None => (0..n).collect(),
-    };
-
-    if let Some(c) = cache.as_ref() {
-        if changed.len() <= refresh_limit {
-            // Δrow_i = row_i(new action) − row_i(base action); only the
-            // generator entries differ (the gain column is constant).
-            let updates: Vec<(usize, DVector)> = changed
-                .iter()
-                .map(|&i| {
-                    let mut delta = DVector::zeros(n);
-                    let new = &mdp.actions(i)[policy.action(i)];
-                    let old = &mdp.actions(i)[c.actions[i]];
-                    for &(to, rate) in new.rates() {
-                        if let Some(col) = col_of(to) {
-                            delta[col] += rate;
-                        }
-                    }
-                    for &(to, rate) in old.rates() {
-                        if let Some(col) = col_of(to) {
-                            delta[col] -= rate;
-                        }
-                    }
-                    if let Some(col) = col_of(i) {
-                        delta[col] -= new.exit_rate() - old.exit_rate();
-                    }
-                    (i, delta)
-                })
-                .collect();
-            if let Ok(solution) = c.lu.solve_updated(&updates, &b) {
-                let gain = solution[0];
-                let bias = DVector::from_fn(n, |j| match col_of(j) {
-                    Some(col) => solution[col],
-                    None => 0.0,
-                });
-                let eval = Evaluation { gain, bias };
-                if let (true, Ok(residual)) = (
-                    eval.gain.is_finite() && eval.bias.iter().all(f64::is_finite),
-                    evaluation_residual(mdp, policy, |_| eval.gain, &eval.bias),
-                ) {
-                    let scale = 1.0 + eval.gain.abs() + costs.norm_inf();
-                    if residual <= 1e-8 * scale {
-                        return Ok(eval);
-                    }
-                }
-            }
-            // A failed or uncertified update falls through to refactorize.
-        }
-    }
-
-    // Full assembly + factorization; re-seat the cache on the new base.
-    let generator = mdp.generator_for(policy)?;
-    let mut a = DMatrix::zeros(n, n);
-    for i in 0..n {
-        a[(i, 0)] = -1.0;
-        for j in 0..n {
-            if let Some(c) = col_of(j) {
-                a[(i, c)] = generator.rate(i, j);
-            }
-        }
-    }
-    let lu = lu_or_not_unichain(a)?;
-    let solution = lu.solve(&b).map_err(MdpError::Numerical)?;
-    *cache = Some(EvalCache {
-        lu,
-        actions: (0..n).map(|i| policy.action(i)).collect(),
-    });
-    let gain = solution[0];
-    let bias = DVector::from_fn(n, |j| match col_of(j) {
-        Some(c) => solution[c],
-        None => 0.0,
-    });
-    Ok(Evaluation { gain, bias })
 }
 
 /// Test quantity `c_i^a + Σ_j s_{i,j}^a v_j` for action `a` in state `i`
@@ -893,7 +639,6 @@ pub fn policy_iteration_from(
     mdp.check_policy(&initial)?;
     let n = mdp.n_states();
     let kernel = mdp.sparse_actions();
-    let mut cache = None;
     let mut policy = initial;
     let mut eval_secs = Vec::new();
     let mut gain_history = Vec::new();
@@ -901,16 +646,13 @@ pub fn policy_iteration_from(
     for iteration in 1..=options.max_iterations {
         // dpm-lint: allow(nondeterminism, reason = "eval_secs is a wall-clock diagnostic in the iteration stats, not part of the solved policy or values")
         let eval_start = std::time::Instant::now();
-        let eval = match options.backend {
-            EvalBackend::CachedLu => {
-                evaluate_cached(mdp, &policy, options.reference_state, &mut cache)
-            }
-            backend => evaluate_with(mdp, &policy, options.reference_state, backend),
-        }
-        .map_err(|e| match e {
-            MdpError::NotUnichain { .. } => MdpError::NotUnichain { iteration },
-            other => other,
-        })?;
+        let eval =
+            evaluate_with(mdp, &policy, options.reference_state, options.backend).map_err(|e| {
+                match e {
+                    MdpError::NotUnichain { .. } => MdpError::NotUnichain { iteration },
+                    other => other,
+                }
+            })?;
         eval_secs.push(eval_start.elapsed().as_secs_f64());
         gain_history.push(eval.gain);
         // Improvement step over the contiguous per-action CSR rows.
@@ -1175,6 +917,46 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Birth–death service model with rates spanning six orders of
+    /// magnitude — the stiff spectrum the SYS instant-rate surrogate
+    /// produces.
+    fn stiff_mdp() -> Ctmdp {
+        let mut b = Ctmdp::builder(4);
+        b.action(0, "arrive", 0.5, &[(1, 1e-3)]).unwrap();
+        b.action(1, "serve", 2.0, &[(0, 1e3), (2, 1.0)]).unwrap();
+        b.action(2, "serve", 4.0, &[(1, 1e3), (3, 1e-2)]).unwrap();
+        b.action(3, "flush", 8.0, &[(0, 1e3)]).unwrap();
+        b.build().unwrap()
+    }
+
+    /// A larger unichain CTMDP (ring with shortcuts) where every policy is
+    /// irreducible.
+    fn ring(n: usize) -> Ctmdp {
+        let mut b = Ctmdp::builder(n);
+        for i in 0..n {
+            let next = (i + 1) % n;
+            let cost = 1.0 + (i as f64) * 0.37;
+            b.action(i, "step", cost, &[(next, 1.0 + (i as f64) * 0.01)])
+                .unwrap();
+            let shortcut = (i + 2) % n;
+            if shortcut != i && shortcut != next {
+                b.action(i, "skip", cost * 1.5, &[(next, 0.3), (shortcut, 0.9)])
+                    .unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// `0 → 1 ↔ 2` under its only policy: state 0 is transient, and the
+    /// recurrent pair averages cost rates 2 and 4 to gain 3.
+    fn transient_mdp() -> Ctmdp {
+        let mut b = Ctmdp::builder(3);
+        b.action(0, "go", 100.0, &[(1, 1.0)]).unwrap();
+        b.action(1, "swap", 2.0, &[(2, 1.0)]).unwrap();
+        b.action(2, "swap", 4.0, &[(1, 1.0)]).unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn evaluation_matches_stationary_average() {
         let mdp = repair_mdp(9.0);
@@ -1317,8 +1099,16 @@ mod tests {
     #[test]
     fn invalid_inputs_are_rejected() {
         let mdp = repair_mdp(9.0);
-        assert!(evaluate(&mdp, &Policy::new(vec![0]), 0).is_err());
-        assert!(evaluate(&mdp, &Policy::new(vec![0, 0]), 5).is_err());
+        for eval in [evaluate, evaluate_sparse_direct] {
+            assert!(matches!(
+                eval(&mdp, &Policy::new(vec![0]), 0),
+                Err(MdpError::InvalidPolicy { .. })
+            ));
+            assert!(matches!(
+                eval(&mdp, &Policy::new(vec![0, 0]), 5),
+                Err(MdpError::InvalidParameter { .. })
+            ));
+        }
         assert!(policy_iteration_from(&mdp, Policy::new(vec![9, 9]), &Options::default()).is_err());
     }
 
@@ -1331,69 +1121,14 @@ mod tests {
         let solution = policy_iteration(&mdp, &Options::default()).unwrap();
         assert_eq!(solution.policy().action(0), 0);
         assert!((solution.gain() - 2.5).abs() < 1e-12);
-    }
-}
-
-#[cfg(test)]
-mod iterative_backend_tests {
-    use super::*;
-
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
-        b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
-        b.build().unwrap()
+        let sparse = evaluate_sparse_direct(&mdp, &Policy::new(vec![0]), 0).unwrap();
+        assert!((sparse.gain() - 2.5).abs() < 1e-12);
     }
 
     #[test]
-    fn iterative_evaluation_matches_dense() {
-        let mdp = repair_mdp(9.0);
-        for policy in mdp.enumerate_policies() {
-            let dense = evaluate(&mdp, &policy, 0).unwrap();
-            let sparse = evaluate_iterative(&mdp, &policy, 0).unwrap();
-            assert!(
-                (dense.gain() - sparse.gain()).abs() < 1e-7,
-                "policy {policy}: {} vs {}",
-                dense.gain(),
-                sparse.gain()
-            );
-            let diff = (dense.bias() - sparse.bias()).norm_inf();
-            assert!(diff < 1e-6, "policy {policy}: bias diff {diff}");
-        }
-    }
-
-    #[test]
-    fn iterative_evaluation_handles_transient_states() {
-        // 0 -> 1 <-> 2 under the only policy; state 0 transient.
-        let mut b = Ctmdp::builder(3);
-        b.action(0, "go", 100.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "swap", 2.0, &[(2, 1.0)]).unwrap();
-        b.action(2, "swap", 4.0, &[(1, 1.0)]).unwrap();
-        let mdp = b.build().unwrap();
-        let policy = Policy::new(vec![0, 0, 0]);
-        let dense = evaluate(&mdp, &policy, 1).unwrap();
-        let sparse = evaluate_iterative(&mdp, &policy, 1).unwrap();
-        assert!((dense.gain() - sparse.gain()).abs() < 1e-7);
-        assert!((sparse.gain() - 3.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn policy_iteration_agrees_across_backends() {
-        for fast_cost in [2.0, 9.0, 30.0, 100.0] {
-            let mdp = repair_mdp(fast_cost);
-            let dense = policy_iteration(&mdp, &Options::default()).unwrap();
-            let sparse = policy_iteration(
-                &mdp,
-                &Options {
-                    backend: EvalBackend::SparseIterative,
-                    ..Options::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(dense.policy(), sparse.policy(), "fast_cost {fast_cost}");
-            assert!((dense.gain() - sparse.gain()).abs() < 1e-7);
-        }
+    fn default_backend_is_dense() {
+        assert_eq!(EvalBackend::default(), EvalBackend::Dense);
+        assert_eq!(Options::default().backend, EvalBackend::Dense);
     }
 
     #[test]
@@ -1408,46 +1143,6 @@ mod iterative_backend_tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn single_state_iterative_evaluation() {
-        let mut b = Ctmdp::builder(1);
-        b.action(0, "idle", 2.5, &[]).unwrap();
-        let mdp = b.build().unwrap();
-        let eval = evaluate_iterative(&mdp, &Policy::new(vec![0]), 0).unwrap();
-        assert!((eval.gain() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_backend_is_dense() {
-        assert_eq!(EvalBackend::default(), EvalBackend::Dense);
-        assert_eq!(Options::default().backend, EvalBackend::Dense);
-    }
-}
-
-#[cfg(test)]
-mod krylov_backend_tests {
-    use super::*;
-
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
-        b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
-        b.build().unwrap()
-    }
-
-    /// Birth–death service model with rates spanning six orders of
-    /// magnitude — the stiff spectrum the SYS instant-rate surrogate
-    /// produces.
-    fn stiff_mdp() -> Ctmdp {
-        let mut b = Ctmdp::builder(4);
-        b.action(0, "arrive", 0.5, &[(1, 1e-3)]).unwrap();
-        b.action(1, "serve", 2.0, &[(0, 1e3), (2, 1.0)]).unwrap();
-        b.action(2, "serve", 4.0, &[(1, 1e3), (3, 1e-2)]).unwrap();
-        b.action(3, "flush", 8.0, &[(0, 1e3)]).unwrap();
-        b.build().unwrap()
     }
 
     #[test]
@@ -1535,10 +1230,7 @@ mod krylov_backend_tests {
     fn backend_names_round_trip() {
         let backends = [
             EvalBackend::Dense,
-            EvalBackend::SparseIterative,
             EvalBackend::SparseDirect,
-            EvalBackend::CachedLu,
-            EvalBackend::Resilient,
             EvalBackend::SparseKrylov {
                 method: Method::BiCgStab,
                 config: SolverConfig::default(),
@@ -1579,114 +1271,6 @@ mod krylov_backend_tests {
             "with_config must be a no-op off the Krylov backend"
         );
     }
-}
-
-#[cfg(test)]
-mod resilient_backend_tests {
-    use super::*;
-
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
-        b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn resilient_matches_dense_on_healthy_models() {
-        let mdp = repair_mdp(9.0);
-        for policy in mdp.enumerate_policies() {
-            let dense = evaluate(&mdp, &policy, 0).unwrap();
-            let resilient = evaluate_resilient(&mdp, &policy, 0).unwrap();
-            assert_eq!(dense, resilient, "policy {policy}");
-        }
-    }
-
-    #[test]
-    fn resilient_survives_lu_pivot_misfire() {
-        // Uniformly fast rates (1e14) push LU's relative pivot threshold
-        // (1e-13 × max|A|) above the unit entries of the gain column, so the
-        // dense backend misdiagnoses this healthy 2-cycle as multichain.
-        // The uniformized chain, by contrast, is perfectly conditioned.
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "fast", 1.0, &[(1, 1e14)]).unwrap();
-        b.action(1, "fast", 3.0, &[(0, 1e14)]).unwrap();
-        let mdp = b.build().unwrap();
-        let policy = Policy::new(vec![0, 0]);
-        assert!(matches!(
-            evaluate(&mdp, &policy, 0),
-            Err(MdpError::NotUnichain { .. })
-        ));
-        let eval = evaluate_resilient(&mdp, &policy, 0).unwrap();
-        assert!((eval.gain() - 2.0).abs() < 1e-6, "gain {}", eval.gain());
-
-        // End-to-end: policy iteration completes instead of aborting.
-        let options = Options {
-            backend: EvalBackend::Resilient,
-            ..Options::default()
-        };
-        let solution = policy_iteration(&mdp, &options).unwrap();
-        assert!((solution.gain() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn resilient_propagates_validation_errors() {
-        let mdp = repair_mdp(9.0);
-        assert!(matches!(
-            evaluate_resilient(&mdp, &Policy::new(vec![0]), 0),
-            Err(MdpError::InvalidPolicy { .. })
-        ));
-        assert!(matches!(
-            evaluate_resilient(&mdp, &Policy::new(vec![0, 0]), 5),
-            Err(MdpError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn resilient_reports_dense_error_when_both_backends_fail() {
-        // Genuinely multichain: two absorbing states. Neither backend can
-        // produce a unichain evaluation; the dense diagnosis wins.
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "stay", 1.0, &[]).unwrap();
-        b.action(1, "stay", 2.0, &[]).unwrap();
-        let mdp = b.build().unwrap();
-        assert!(matches!(
-            evaluate_resilient(&mdp, &Policy::new(vec![0, 0]), 0),
-            Err(MdpError::NotUnichain { .. })
-        ));
-    }
-}
-
-#[cfg(test)]
-mod kernel_and_reuse_tests {
-    use super::*;
-
-    fn repair_mdp(fast_cost: f64) -> Ctmdp {
-        let mut b = Ctmdp::builder(2);
-        b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
-        b.action(1, "slow", 5.0, &[(0, 1.0)]).unwrap();
-        b.action(1, "fast", fast_cost, &[(0, 10.0)]).unwrap();
-        b.build().unwrap()
-    }
-
-    /// A larger unichain CTMDP (ring with shortcuts) where every policy is
-    /// irreducible, so the cached-LU path exercises many improvement rounds.
-    fn ring(n: usize) -> Ctmdp {
-        let mut b = Ctmdp::builder(n);
-        for i in 0..n {
-            let next = (i + 1) % n;
-            let cost = 1.0 + (i as f64) * 0.37;
-            b.action(i, "step", cost, &[(next, 1.0 + (i as f64) * 0.01)])
-                .unwrap();
-            let shortcut = (i + 2) % n;
-            if shortcut != i && shortcut != next {
-                b.action(i, "skip", cost * 1.5, &[(next, 0.3), (shortcut, 0.9)])
-                    .unwrap();
-            }
-        }
-        b.build().unwrap()
-    }
 
     #[test]
     fn csr_improvement_matches_reference_scan_exactly() {
@@ -1703,10 +1287,18 @@ mod kernel_and_reuse_tests {
 
     #[test]
     fn sparse_direct_matches_dense_evaluation() {
-        let mdp = repair_mdp(9.0);
-        for policy in mdp.enumerate_policies() {
-            let dense = evaluate(&mdp, &policy, 0).unwrap();
-            let sparse = evaluate_sparse_direct(&mdp, &policy, 0).unwrap();
+        let repair = repair_mdp(9.0);
+        let mut cases: Vec<(&Ctmdp, Policy, usize)> = repair
+            .enumerate_policies()
+            .into_iter()
+            .map(|policy| (&repair, policy, 0))
+            .collect();
+        // A transient state, with the bias pinned inside the recurrent pair.
+        let transient = transient_mdp();
+        cases.push((&transient, Policy::new(vec![0, 0, 0]), 1));
+        for (mdp, policy, reference) in cases {
+            let dense = evaluate(mdp, &policy, reference).unwrap();
+            let sparse = evaluate_sparse_direct(mdp, &policy, reference).unwrap();
             assert!(
                 (dense.gain() - sparse.gain()).abs() < 1e-10,
                 "policy {policy}: {} vs {}",
@@ -1715,13 +1307,16 @@ mod kernel_and_reuse_tests {
             );
             let diff = (dense.bias() - sparse.bias()).norm_inf();
             assert!(diff < 1e-9, "policy {policy}: bias diff {diff}");
+            assert_eq!(sparse.bias()[reference], 0.0);
         }
+        let eval = evaluate(&transient, &Policy::new(vec![0, 0, 0]), 1).unwrap();
+        assert!((eval.gain() - 3.0).abs() < 1e-12, "gain {}", eval.gain());
     }
 
     #[test]
     fn sparse_direct_handles_stiff_rates_directly() {
-        // A 1e6 rate spread needs ~1e6 iterative sweeps but is a plain
-        // direct solve; this is the SparseIterative caveat being retired.
+        // A 1e6 rate spread would need ~1e6 uniformized sweeps but is a
+        // plain direct solve.
         let mut b = Ctmdp::builder(3);
         b.action(0, "instant", 0.5, &[(1, 1e6)]).unwrap();
         b.action(1, "work", 2.0, &[(2, 1.0)]).unwrap();
@@ -1734,15 +1329,18 @@ mod kernel_and_reuse_tests {
     }
 
     #[test]
-    fn sparse_direct_diagnoses_multichain_policies() {
+    fn direct_backends_diagnose_multichain_policies() {
+        // Two absorbing states: genuinely multichain.
         let mut b = Ctmdp::builder(2);
         b.action(0, "stay", 1.0, &[]).unwrap();
         b.action(1, "stay", 2.0, &[]).unwrap();
         let mdp = b.build().unwrap();
-        assert!(matches!(
-            evaluate_sparse_direct(&mdp, &Policy::new(vec![0, 0]), 0),
-            Err(MdpError::NotUnichain { .. })
-        ));
+        for eval in [evaluate, evaluate_sparse_direct] {
+            assert!(matches!(
+                eval(&mdp, &Policy::new(vec![0, 0]), 0),
+                Err(MdpError::NotUnichain { .. })
+            ));
+        }
     }
 
     #[test]
@@ -1764,80 +1362,21 @@ mod kernel_and_reuse_tests {
     }
 
     #[test]
-    fn cached_lu_backend_matches_dense_end_to_end() {
-        for mdp in [
-            repair_mdp(2.0),
-            repair_mdp(9.0),
-            repair_mdp(100.0),
-            ring(14),
-        ] {
-            let dense = policy_iteration(&mdp, &Options::default()).unwrap();
-            let cached = policy_iteration(
-                &mdp,
-                &Options {
-                    backend: EvalBackend::CachedLu,
-                    ..Options::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(dense.policy(), cached.policy());
-            assert!(
-                (dense.gain() - cached.gain()).abs() < 1e-10 * (1.0 + dense.gain().abs()),
-                "{} vs {}",
-                dense.gain(),
-                cached.gain()
-            );
-            let diff = (dense.bias() - cached.bias()).norm_inf();
-            assert!(diff < 1e-8, "bias diff {diff}");
+    fn direct_backends_evaluate_uniformly_fast_rates() {
+        // Rates of 1e14 put LU's relative pivot threshold (1e-13·max|A|) at
+        // 10; a unit gain column would fall under it and this healthy
+        // 2-cycle would be misdiagnosed as multichain.
+        let mut b = Ctmdp::builder(2);
+        b.action(0, "fast", 1.0, &[(1, 1e14)]).unwrap();
+        b.action(1, "fast", 3.0, &[(0, 1e14)]).unwrap();
+        let mdp = b.build().unwrap();
+        let policy = Policy::new(vec![0, 0]);
+        for eval in [evaluate, evaluate_sparse_direct] {
+            let gain = eval(&mdp, &policy, 0).unwrap().gain();
+            assert!((gain - 2.0).abs() < 1e-12, "gain {gain}");
         }
-    }
-
-    #[test]
-    fn cached_lu_row_update_path_is_exercised() {
-        // Start from "skip everywhere" so improvement rounds walk the
-        // policy back state by state, reusing the cached factorization.
-        let mdp = ring(16);
-        let worst = Policy::uniform(mdp.n_states(), 1);
-        let cached = policy_iteration_from(
-            &mdp,
-            worst.clone(),
-            &Options {
-                backend: EvalBackend::CachedLu,
-                ..Options::default()
-            },
-        )
-        .unwrap();
-        let dense = policy_iteration_from(&mdp, worst, &Options::default()).unwrap();
-        assert_eq!(dense.policy(), cached.policy());
-        assert_eq!(dense.iterations(), cached.iterations());
-        assert!(cached.eval_residual() < 1e-9);
-    }
-
-    #[test]
-    fn cached_lu_standalone_evaluation_equals_dense() {
-        let mdp = repair_mdp(9.0);
-        let policy = Policy::new(vec![0, 1]);
-        let via_backend = evaluate_with(&mdp, &policy, 0, EvalBackend::CachedLu).unwrap();
-        let dense = evaluate(&mdp, &policy, 0).unwrap();
-        assert_eq!(via_backend, dense);
-    }
-
-    #[test]
-    fn cached_evaluation_survives_cache_reseeding() {
-        let mdp = ring(10);
-        let policies: Vec<Policy> = mdp.enumerate_policies().into_iter().take(6).collect();
-        let mut cache = None;
-        for policy in &policies {
-            let cached = evaluate_cached(&mdp, policy, 0, &mut cache).unwrap();
-            let dense = evaluate(&mdp, policy, 0).unwrap();
-            assert!(
-                (cached.gain() - dense.gain()).abs() < 1e-9 * (1.0 + dense.gain().abs()),
-                "{} vs {}",
-                cached.gain(),
-                dense.gain()
-            );
-            assert!((cached.bias() - dense.bias()).norm_inf() < 1e-8);
-        }
+        let solution = policy_iteration(&mdp, &Options::default()).unwrap();
+        assert!((solution.gain() - 2.0).abs() < 1e-12);
     }
 }
 

@@ -82,6 +82,16 @@ cargo build --release -q -p dpm-bench --bin fig4
     --seed 11 --out "$SMOKE_DIR/solve2.json" > /dev/null
 ./target/release/artifact_diff --a "$SMOKE_DIR/solve1.json" --b "$SMOKE_DIR/solve2.json"
 
+echo "=== evaluation-backend smoke (dense == sparse direct == Krylov, both methods) ==="
+cargo build --release -q -p dpm-bench --bin bench_solve
+for method in bicgstab gmres; do
+    ./target/release/bench_solve --capacity 10 --rounds 2 \
+        --tier-states 1000 --tier-direct-limit 1000 --method "$method" \
+        --out "$SMOKE_DIR/bench_solve_$method.json" > /dev/null
+    grep -q '"eval_backends_agree": true' "$SMOKE_DIR/bench_solve_$method.json"
+    grep -q '"cli_backend_agrees": true' "$SMOKE_DIR/bench_solve_$method.json"
+done
+
 echo "=== serving smoke (1 vs N shards, determinism gate at tolerance 0) ==="
 cargo build --release -q -p dpm-bench --bin bench_serve
 # bench_serve self-checks bit-identity across its --shards list and fails
