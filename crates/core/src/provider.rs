@@ -141,6 +141,7 @@ impl SpModel {
     }
 
     /// Number of power modes `S`.
+    #[inline]
     #[must_use]
     pub fn n_modes(&self) -> usize {
         self.modes.len()
@@ -161,6 +162,7 @@ impl SpModel {
     /// # Panics
     ///
     /// Panics if `s` is out of range.
+    #[inline]
     #[must_use]
     pub fn service_rate(&self, s: usize) -> f64 {
         self.modes[s].service_rate
@@ -171,6 +173,7 @@ impl SpModel {
     /// # Panics
     ///
     /// Panics if `s` is out of range.
+    #[inline]
     #[must_use]
     pub fn power(&self, s: usize) -> f64 {
         self.modes[s].power
@@ -207,6 +210,7 @@ impl SpModel {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    #[inline]
     #[must_use]
     pub fn switch_rate(&self, from: usize, to: usize) -> f64 {
         self.switch_rate[(from, to)]
@@ -217,6 +221,7 @@ impl SpModel {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    #[inline]
     #[must_use]
     pub fn switch_energy(&self, from: usize, to: usize) -> f64 {
         self.switch_energy[(from, to)]
@@ -228,6 +233,7 @@ impl SpModel {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    #[inline]
     #[must_use]
     pub fn can_switch(&self, from: usize, to: usize) -> bool {
         from == to || self.switch_rate[(from, to)] > 0.0

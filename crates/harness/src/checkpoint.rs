@@ -69,7 +69,7 @@ impl Journal {
         header.set("schema_version", SCHEMA_VERSION);
         header.set("experiment", plan.name());
         header.set("plan", plan.to_json());
-        writeln!(file, "{}", header.render_compact())?;
+        header.write_line(&mut file)?;
         file.flush()?;
         Ok(Journal { file })
     }
@@ -81,7 +81,7 @@ impl Journal {
     ///
     /// Propagates filesystem failures.
     pub fn append(&mut self, index: usize, record: &TaskRecord) -> Result<(), HarnessError> {
-        writeln!(self.file, "{}", entry_json(index, record).render_compact())?;
+        entry_json(index, record).write_line(&mut self.file)?;
         self.file.flush()?;
         Ok(())
     }
@@ -108,7 +108,7 @@ impl Journal {
             "entries",
             Json::Array(records.iter().map(|r| entry_body(r)).collect()),
         );
-        writeln!(self.file, "{}", node.render_compact())?;
+        node.write_line(&mut self.file)?;
         self.file.flush()?;
         Ok(())
     }

@@ -116,6 +116,19 @@ impl Json {
         out
     }
 
+    /// Writes the compact form and its newline as one JSONL line with a
+    /// single `write_all`: on an unbuffered `File` that is one `write`
+    /// call, where `writeln!` makes two (the body, then `"\n"`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the writer's failure.
+    pub fn write_line(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        let mut line = self.render_compact();
+        line.push('\n');
+        out.write_all(line.as_bytes())
+    }
+
     fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),

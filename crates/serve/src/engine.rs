@@ -607,6 +607,8 @@ struct Slot {
     /// Seed-stream index of the current attempt (engine retries advance
     /// it; panic retries replay it).
     seed_attempt: u32,
+    /// Seed of the current attempt's stream, derived once per (re)build.
+    seed: u64,
     /// Consecutive failures, driving the backoff schedule.
     failures: u32,
     /// Round-robin visits left to skip before the next step batch.
@@ -625,6 +627,7 @@ impl Slot {
             system,
             attempts: 1,
             seed_attempt: 0,
+            seed: 0,
             failures: 0,
             cooldown: 0,
             last_epoch: 0,
@@ -650,26 +653,29 @@ impl ShardCtx<'_> {
     }
 
     fn journal_epoch(&self, slot: &Slot, events: u64) -> Result<(), ServeError> {
-        let seed =
-            derive_serve_attempt_seed(self.config.root_seed, slot.system as u64, slot.seed_attempt);
-        let (system, attempts, seed_attempt) = (slot.system, slot.attempts, slot.seed_attempt);
+        let (system, attempts, seed_attempt, seed) =
+            (slot.system, slot.attempts, slot.seed_attempt, slot.seed);
         self.with_journal(|j| j.epoch(system, events, attempts, seed_attempt, seed))
     }
 
-    /// Builds (or rebuilds) a system's run for its current seed stream.
+    /// Builds (or rebuilds) a slot's run for its current seed stream,
+    /// caching that stream's seed on the slot for the epochs it journals.
     fn build(
         &self,
-        system_index: usize,
-        seed_attempt: u32,
+        slot: &mut Slot,
     ) -> Result<SimRun<PoissonWorkload, CompiledController>, (ErrorClass, String)> {
+        let system_index = slot.system;
+        slot.seed = derive_serve_attempt_seed(
+            self.config.root_seed,
+            system_index as u64,
+            slot.seed_attempt,
+        );
         if self.config.faults.setup_armed(system_index) {
             return Err((
                 ErrorClass::Setup,
                 format!("injected setup failure for system {system_index}"),
             ));
         }
-        let seed =
-            derive_serve_attempt_seed(self.config.root_seed, system_index as u64, seed_attempt);
         let workload =
             PoissonWorkload::new(self.lambda).map_err(|e| (ErrorClass::Setup, e.to_string()))?;
         Simulator::new(
@@ -677,7 +683,7 @@ impl ShardCtx<'_> {
             self.system.capacity(),
             workload,
             CompiledController::new(Arc::clone(self.initial)),
-            SimConfig::new(seed).max_requests(self.config.requests_per_system),
+            SimConfig::new(slot.seed).max_requests(self.config.requests_per_system),
         )
         .start()
         .map_err(|e| (ErrorClass::Setup, e.to_string()))
@@ -719,7 +725,7 @@ impl ShardCtx<'_> {
         slot.cooldown = self.config.retry.backoff_visits(slot.failures);
         slot.next_swap = 0;
         slot.last_epoch = 0;
-        match self.build(slot.system, slot.seed_attempt) {
+        match self.build(slot) {
             Ok(run) => {
                 slot.run = Some(run);
                 // Persist the retry decision immediately: a kill right
@@ -734,7 +740,7 @@ impl ShardCtx<'_> {
 /// Builds a slot's first run (for its restored seed stream), routing a
 /// construction failure through the supervisor.
 fn init_run(ctx: &ShardCtx<'_>, slot: &mut Slot) -> Result<(), ServeError> {
-    match ctx.build(slot.system, slot.seed_attempt) {
+    match ctx.build(slot) {
         Ok(run) => {
             slot.run = Some(run);
             Ok(())

@@ -74,13 +74,15 @@ impl FleetJournal {
         header.set("root_seed", root_seed);
         header.set("systems", systems);
         header.set("requests_per_system", requests_per_system);
-        writeln!(file, "{}", header.render_compact()).map_err(|e| io_err("writing header", &e))?;
+        header
+            .write_line(&mut file)
+            .map_err(|e| io_err("writing header", &e))?;
         file.flush().map_err(|e| io_err("flushing header", &e))?;
         Ok(FleetJournal { file })
     }
 
     fn line(&mut self, doc: &Json) -> Result<(), ServeError> {
-        writeln!(self.file, "{}", doc.render_compact())
+        doc.write_line(&mut self.file)
             .map_err(|e| io_err("appending to journal", &e))?;
         self.file
             .flush()

@@ -213,6 +213,7 @@ impl<W: Workload, C: Controller> Simulator<W, C> {
             sojourn_sum: 0.0,
             snapshots: Vec::with_capacity(BATCHES + 1),
             snapshot_every,
+            arrivals_to_snapshot: snapshot_every,
             next_arrival,
             last_event: SimEvent::Start,
             event_budget,
@@ -254,6 +255,10 @@ pub struct SimRun<W, C> {
     sojourn_sum: f64,
     snapshots: Vec<Snapshot>,
     snapshot_every: u64,
+    /// Arrivals left until the next batch snapshot: counts down from
+    /// `snapshot_every`, so snapshots land on every `snapshot_every`-th
+    /// arrival without a division per arrival.
+    arrivals_to_snapshot: u64,
     next_arrival: Option<f64>,
     last_event: SimEvent,
     event_budget: u64,
@@ -403,7 +408,9 @@ impl<W: Workload, C: Controller> SimRun<W, C> {
                 } else {
                     None
                 };
-                if self.arrivals.is_multiple_of(self.snapshot_every) {
+                self.arrivals_to_snapshot -= 1;
+                if self.arrivals_to_snapshot == 0 {
+                    self.arrivals_to_snapshot = self.snapshot_every;
                     self.snapshots.push(Snapshot {
                         time: self.time,
                         energy: self.occupancy_energy + self.switch_energy,
@@ -570,7 +577,9 @@ fn half_width(batch_means: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{AlwaysOnController, GreedyController, TimeoutController};
+    use crate::controller::{
+        AlwaysOnController, GreedyController, TableController, TimeoutController,
+    };
     use crate::workload::{PoissonWorkload, TraceWorkload};
     use dpm_core::SpModel;
 
@@ -639,6 +648,45 @@ mod tests {
         while run.step().unwrap() {}
         assert!(run.is_finished());
         assert_eq!(run.into_report(), serial);
+    }
+
+    #[test]
+    fn optimal_q5_run_matches_golden_report() {
+        // The served policy (optimal, w = 1, λ = 1/6, Q = 5) on one seeded
+        // stream. Any change to the random words, the draw order, the
+        // sampling or the event race moves these numbers; the batch
+        // half-widths pin the arrivals the snapshots land on.
+        let system = dpm_core::PmSystem::builder()
+            .provider(sp())
+            .requestor(dpm_core::SrModel::poisson(1.0 / 6.0).unwrap())
+            .capacity(5)
+            .build()
+            .unwrap();
+        let solution = dpm_core::optimize::optimal_policy(&system, 1.0).unwrap();
+        let report = Simulator::new(
+            sp(),
+            5,
+            PoissonWorkload::new(1.0 / 6.0).unwrap(),
+            TableController::new(&system, solution.policy()).unwrap(),
+            SimConfig::new(7).max_requests(2_000),
+        )
+        .run()
+        .unwrap();
+        assert_eq!(report.events(), 7_325);
+        assert_eq!(report.arrivals(), 2_000);
+        assert_eq!(report.switches(), 2_036);
+        assert_eq!(report.completed(), 1_985);
+        assert_eq!(report.lost(), 14);
+        assert_eq!(report.duration().to_bits(), 0x40c6_f7b2_5dc9_1166);
+        assert_eq!(report.total_energy().to_bits(), 0x4100_cb12_77ac_cb57);
+        assert_eq!(
+            report.power_half_width().map(f64::to_bits),
+            Some(0x3fe5_c6c4_51b5_583d)
+        );
+        assert_eq!(
+            report.waiting_half_width().map(f64::to_bits),
+            Some(0x3fd3_242a_64ff_b7b0)
+        );
     }
 
     #[test]

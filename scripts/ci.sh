@@ -100,6 +100,13 @@ cargo build --release -q -p dpm-bench --bin bench_serve
     --rounds 20 --lookup-capacity 50 --seed 7 \
     --out "$SMOKE_DIR/bench_serve.json" \
     --outcome-out "$SMOKE_DIR/serve1.json" > /dev/null
+# Shard counts agreeing with each other does not catch a change to the
+# random streams (every shard count moves with them), so pin the fleet
+# fingerprint as well.
+if ! grep -q '"fingerprint": "afaef8aee9dd041b"' "$SMOKE_DIR/bench_serve.json"; then
+    echo "serving smoke fingerprint moved (expected afaef8aee9dd041b)" >&2
+    exit 1
+fi
 CORES="$(nproc)"
 if [ "$CORES" -ge 4 ]; then
     # Enough cores for real parallelism: diff the 4-shard outcome against
