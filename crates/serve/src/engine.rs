@@ -48,7 +48,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
-use dpm_core::PmSystem;
+use dpm_core::{PmSystem, SpModel};
 use dpm_harness::{seed::derive_serve_attempt_seed, Json};
 use dpm_sim::workload::PoissonWorkload;
 use dpm_sim::{MergedReport, SimConfig, SimError, SimReport, SimRun, Simulator};
@@ -503,6 +503,7 @@ pub fn serve(
     let chunk = config.systems.div_ceil(shards);
     let ctx = ShardCtx {
         system,
+        provider: Arc::new(system.provider().clone()),
         initial: &shared,
         schedule: &schedule,
         config,
@@ -592,6 +593,8 @@ fn write_carried_forward(
 /// Everything a shard needs to build, supervise and journal its systems.
 struct ShardCtx<'a> {
     system: &'a PmSystem,
+    /// The served provider, shared by every system's run.
+    provider: Arc<SpModel>,
     initial: &'a Arc<CompiledPolicy>,
     schedule: &'a [(u64, Arc<CompiledPolicy>)],
     config: &'a ServeConfig,
@@ -679,7 +682,7 @@ impl ShardCtx<'_> {
         let workload =
             PoissonWorkload::new(self.lambda).map_err(|e| (ErrorClass::Setup, e.to_string()))?;
         Simulator::new(
-            self.system.provider().clone(),
+            Arc::clone(&self.provider),
             self.system.capacity(),
             workload,
             CompiledController::new(Arc::clone(self.initial)),
@@ -854,6 +857,10 @@ fn run_shard(
 /// and armed faults *before* each step so every decision keys off the
 /// system's own event counter — identical at any shard count, batch grain
 /// or replay. Returns `Ok(false)` once the run finishes.
+///
+/// Events before the batch's first barrier (the event count at which the
+/// next swap applies or before which the next fault is armed) cannot meet
+/// either, so they step unchecked; the per-event checks run from there on.
 fn step_batch(
     run: &mut SimRun<PoissonWorkload, CompiledController>,
     system: usize,
@@ -861,7 +868,22 @@ fn step_batch(
     ctx: &ShardCtx<'_>,
     attempt_index: u32,
 ) -> Result<bool, SimError> {
-    for _ in 0..ctx.config.batch_events {
+    let events = run.events();
+    let swap_at = ctx.schedule.get(*next_swap).map_or(u64::MAX, |(at, _)| *at);
+    let fault_at = ctx
+        .config
+        .faults
+        .next_armed(system, events.saturating_add(1), attempt_index)
+        .map_or(u64::MAX, |upcoming| upcoming - 1);
+    let unchecked = usize::try_from(swap_at.min(fault_at).saturating_sub(events))
+        .unwrap_or(usize::MAX)
+        .min(ctx.config.batch_events);
+    for _ in 0..unchecked {
+        if !run.step()? {
+            return Ok(false);
+        }
+    }
+    for _ in unchecked..ctx.config.batch_events {
         // The swap barrier: entry (at, policy) applies once this system
         // has processed `at` events, so event `at + 1` and everything
         // after consult the new policy.

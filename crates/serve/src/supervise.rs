@@ -179,6 +179,18 @@ impl ServeFaultPlan {
         armed(&self.errors, system, events, attempt)
     }
 
+    /// The first event count `>= events` before which a panic or an engine
+    /// error is armed for `system` on 0-based attempt `attempt`, if any.
+    #[must_use]
+    pub(crate) fn next_armed(&self, system: usize, events: u64, attempt: u32) -> Option<u64> {
+        self.panics
+            .iter()
+            .chain(&self.errors)
+            .filter(|s| s.system == system && s.events >= events && attempt < s.attempts)
+            .map(|s| s.events)
+            .min()
+    }
+
     /// Should constructing `system` fail?
     #[must_use]
     pub(crate) fn setup_armed(&self, system: usize) -> bool {
@@ -403,6 +415,11 @@ mod tests {
         assert!(!plan.panic_armed(2, 99, 0), "different event");
         assert!(!plan.panic_armed(1, 100, 0), "different system");
         assert!(plan.error_armed(3, 50, 7), "max arms every attempt");
+        assert_eq!(plan.next_armed(2, 0, 0), Some(100));
+        assert_eq!(plan.next_armed(2, 100, 0), Some(100), "inclusive");
+        assert_eq!(plan.next_armed(2, 101, 0), None, "already passed");
+        assert_eq!(plan.next_armed(2, 0, 1), None, "attempt past the budget");
+        assert_eq!(plan.next_armed(3, 0, 7), Some(50), "errors count too");
         assert!(plan.setup_armed(4));
         assert!(!plan.setup_armed(2));
         assert!(!plan.is_empty());

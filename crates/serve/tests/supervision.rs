@@ -4,13 +4,15 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dpm_core::{PmPolicy, PmSystem, SpModel, SrModel};
 use dpm_harness::{artifact, seed::derive_serve_attempt_seed};
 use dpm_serve::{
-    serve, CompiledPolicy, ErrorClass, RetryPolicy, ServeConfig, ServeFaultPlan, SwapPlan,
-    SystemStatus,
+    serve, CompiledController, CompiledPolicy, ErrorClass, RetryPolicy, ServeConfig,
+    ServeFaultPlan, SwapPlan, SystemStatus,
 };
+use dpm_sim::{workload::PoissonWorkload, SimConfig, SimReport, Simulator};
 use proptest::prelude::*;
 
 fn system() -> PmSystem {
@@ -291,6 +293,119 @@ fn invalid_swap_artifacts_are_rejected_without_disturbing_the_fleet() {
     .unwrap();
     assert!(!zero.swap_outcomes()[0].accepted());
     assert_eq!(zero.fingerprint(), clean.fingerprint());
+}
+
+/// Steps the first attempt of fleet system `index` one event at a time,
+/// swapping policies after exactly the scheduled event counts: the
+/// reference for serve's swap barrier, with no batching involved.
+fn stepped_report(
+    system: &PmSystem,
+    root_seed: u64,
+    index: usize,
+    requests: u64,
+    initial: &CompiledPolicy,
+    swaps: &[(u64, &CompiledPolicy)],
+) -> SimReport {
+    let mut run = Simulator::new(
+        system.provider().clone(),
+        system.capacity(),
+        PoissonWorkload::new(system.requestor().rate()).unwrap(),
+        CompiledController::new(Arc::new(initial.clone())),
+        SimConfig::new(derive_serve_attempt_seed(root_seed, index as u64, 0))
+            .max_requests(requests),
+    )
+    .start()
+    .unwrap();
+    let mut pending = swaps.iter().peekable();
+    loop {
+        if let Some((_, policy)) = pending.next_if(|(at, _)| run.events() == *at) {
+            run.controller_mut()
+                .swap_policy(Arc::new(CompiledPolicy::clone(policy)));
+        }
+        if !run.step().unwrap() {
+            return run.into_report();
+        }
+    }
+}
+
+#[test]
+fn batch_edge_barriers_match_per_event_checks() {
+    const BATCH: u64 = 64;
+    let system = system();
+    let greedy = greedy(&system);
+    let always_on =
+        CompiledPolicy::compile(&system, &PmPolicy::always_on(&system, 0).unwrap()).unwrap();
+    // Swaps that apply before the first, a middle and the last event of a
+    // batch (entry `at` applies before event `at + 1`).
+    let swaps = [
+        (2 * BATCH, &always_on),
+        (5 * BATCH + 31, &greedy),
+        (9 * BATCH - 1, &always_on),
+    ];
+    let plan = swaps.iter().fold(SwapPlan::new(), |plan, &(at, policy)| {
+        plan.swap_at(at, policy.clone())
+    });
+    // On every attempt: a panic before the first event of a batch, and an
+    // engine error before the last one.
+    let panic_event = 3 * BATCH + 1;
+    let error_event = 4 * BATCH;
+    let config = ServeConfig::new(27)
+        .systems(4)
+        .requests_per_system(400)
+        .swaps(plan)
+        .faults(
+            ServeFaultPlan::new()
+                .panic_at(1, panic_event, u32::MAX)
+                .error_at(2, error_event, u32::MAX),
+        );
+    let checked = serve(&system, &greedy, &config.clone().batch_events(1)).unwrap();
+    for shards in [1, 2] {
+        let batched = serve(
+            &system,
+            &greedy,
+            &config.clone().batch_events(BATCH as usize).shards(shards),
+        )
+        .unwrap();
+        assert_eq!(batched.fingerprint(), checked.fingerprint(), "{shards}");
+        assert_eq!(batched.records(), checked.records(), "{shards} shards");
+        assert_eq!(batched.swap_outcomes(), checked.swap_outcomes());
+        assert_eq!(
+            artifact::diff(&batched.to_json(), &checked.to_json(), 0.0),
+            Vec::<String>::new(),
+            "{shards} shards"
+        );
+    }
+    let quarantines = [
+        (
+            1,
+            ErrorClass::Panic,
+            format!("injected panic in system 1 before event {panic_event}"),
+        ),
+        (
+            2,
+            ErrorClass::Engine,
+            format!("injected engine error in system 2 before event {error_event}"),
+        ),
+    ];
+    for (index, expected, message) in quarantines {
+        match checked.records()[index].status() {
+            SystemStatus::Quarantined { class, error } => {
+                assert_eq!(*class, expected);
+                assert!(error.contains(&message), "{error}");
+            }
+            other => panic!("system {index}: expected quarantine, got {other:?}"),
+        }
+    }
+    // The healthy systems swapped after exactly the scheduled counts.
+    for index in [0, 3] {
+        let report = checked.records()[index].report().expect("served");
+        assert!(report.events() > 9 * BATCH, "every swap lands in the run");
+        assert_eq!(
+            *report,
+            stepped_report(&system, 27, index, 400, &greedy, &swaps),
+            "system {index}"
+        );
+    }
 }
 
 #[test]

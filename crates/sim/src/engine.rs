@@ -15,6 +15,7 @@
 //! main loop a simple race between at most four candidate events.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use dpm_core::{SpModel, SysState};
 use rand::SeedableRng;
@@ -80,7 +81,7 @@ impl SimConfig {
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Simulator<W, C> {
-    sp: SpModel,
+    sp: Arc<SpModel>,
     capacity: usize,
     workload: W,
     controller: C,
@@ -106,16 +107,19 @@ struct Snapshot {
 impl<W: Workload, C: Controller> Simulator<W, C> {
     /// Creates a simulator over the provider `sp` with the given queue
     /// capacity, workload and power-management controller.
+    ///
+    /// `sp` is an [`SpModel`] or an `Arc` of one: runs never change their
+    /// provider, so a fleet of runs can share one copy.
     #[must_use]
     pub fn new(
-        sp: SpModel,
+        sp: impl Into<Arc<SpModel>>,
         capacity: usize,
         workload: W,
         controller: C,
         config: SimConfig,
     ) -> Self {
         Simulator {
-            sp,
+            sp: sp.into(),
             capacity,
             workload,
             controller,
@@ -235,7 +239,7 @@ impl<W: Workload, C: Controller> Simulator<W, C> {
 /// per-run event sequence is invariant under scheduling.
 #[derive(Debug)]
 pub struct SimRun<W, C> {
-    sp: SpModel,
+    sp: Arc<SpModel>,
     capacity: usize,
     workload: W,
     controller: C,

@@ -102,11 +102,16 @@ cargo build --release -q -p dpm-bench --bin bench_serve
     --outcome-out "$SMOKE_DIR/serve1.json" > /dev/null
 # Shard counts agreeing with each other does not catch a change to the
 # random streams (every shard count moves with them), so pin the fleet
-# fingerprint as well.
-if ! grep -q '"fingerprint": "afaef8aee9dd041b"' "$SMOKE_DIR/bench_serve.json"; then
-    echo "serving smoke fingerprint moved (expected afaef8aee9dd041b)" >&2
-    exit 1
-fi
+# fingerprint and the work totals as well.
+pin() { # pin FILE LINE: FILE must contain the JSON line LINE exactly.
+    if ! grep -qF "$2" "$1"; then
+        echo "$1: pinned value moved (expected $2)" >&2
+        exit 1
+    fi
+}
+pin "$SMOKE_DIR/bench_serve.json" '"fingerprint": "afaef8aee9dd041b"'
+pin "$SMOKE_DIR/bench_serve.json" '"events": 35139,'
+pin "$SMOKE_DIR/bench_serve.json" '"policy_lookups": 35139,'
 CORES="$(nproc)"
 if [ "$CORES" -ge 4 ]; then
     # Enough cores for real parallelism: diff the 4-shard outcome against
@@ -152,6 +157,9 @@ SERVE_CHAOS=(--systems 16 --requests 200000 --seed 99
 # internally against a fault-free fleet, outcome artifact written.
 ./target/release/bench_serve "${SERVE_CHAOS[@]}" --shards 2 \
     --outcome-out "$SMOKE_DIR/serve_chaos_ref.json" > /dev/null 2> /dev/null
+# The resume leg only diffs against this reference, which moves with the
+# random streams, so pin its fingerprint too.
+pin "$SMOKE_DIR/serve_chaos_ref.json" '"fingerprint": "cb7e9160613c1056"'
 # The same run, SIGKILLed as soon as its journal shows progress.
 ./target/release/bench_serve "${SERVE_CHAOS[@]}" --shards 2 \
     --checkpoint "$SMOKE_DIR/serve_chaos.jsonl" \
