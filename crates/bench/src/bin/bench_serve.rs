@@ -27,8 +27,8 @@
 //! `--inject-panic`, `--inject-error`, `--max-attempts`) switches the
 //! binary into **supervised chaos mode**: one supervised serve at the
 //! first `--shards` count, with faults given as `SYS@EVENTS[:ATTEMPTS]`
-//! (comma-separated; `max` = every attempt) and progress journaled for
-//! kill-and-resume. The mode self-gates: every served system that never
+//! (comma-separated; `max` = every attempt) and retries and settlements
+//! journaled for kill-and-resume. The mode self-gates: every served system that never
 //! left its original seed stream must report **field-for-field** what a
 //! fault-free fleet reports, and the binary exits nonzero otherwise. The
 //! sweep and microbench are skipped in this mode.

@@ -1,9 +1,9 @@
 //! The sharded serving runtime: many simulated systems, few threads, one
 //! shared compiled policy, bit-identical output at any shard count — now
 //! wrapped in a supervision layer that isolates per-system failures,
-//! retries them under per-error-class budgets, checkpoints fleet progress
-//! to a JSONL journal, and hot-swaps the shared policy at deterministic
-//! event-count barriers.
+//! retries them under per-error-class budgets, journals every retry
+//! decision and settlement to a JSONL checkpoint, and hot-swaps the shared
+//! policy at deterministic event-count barriers.
 //!
 //! # Determinism argument
 //!
@@ -33,11 +33,14 @@
 //! same event at every shard count and on every replay.
 //!
 //! Checkpointing follows the same logic: because the engine is
-//! deterministic in its seed, a journaled epoch (seed-stream index plus
-//! attempt count) is a complete checkpoint — restore is replay. Killing
-//! the process at *any* point and resuming from the journal therefore
-//! reproduces the uninterrupted run bit-for-bit, a claim
-//! `bench_serve --resume` and the CI chaos smoke check at tolerance 0.
+//! deterministic in its seed, a system's attempt counters (attempts plus
+//! seed-stream index) are a complete checkpoint — restore is replay from
+//! event zero. The journal therefore records only what changes those
+//! counters or ends a system: one `epoch` per retry decision and one
+//! record per settlement, never progress within an attempt. Killing the
+//! process at *any* point and resuming from the journal reproduces the
+//! uninterrupted run bit-for-bit, a claim `bench_serve --resume` and the
+//! CI chaos smoke check at tolerance 0.
 //!
 //! The [`ServeOutcome`] additionally carries a fingerprint over every
 //! served system's report, so "N shards ≡ 1 shard" is checkable from the
@@ -78,13 +81,12 @@ pub struct ServeConfig {
     swaps: SwapPlan,
     checkpoint: Option<PathBuf>,
     resume: Option<PathBuf>,
-    checkpoint_every: u64,
 }
 
 impl ServeConfig {
     /// A default fleet: 64 systems, 1 shard, 1000 requests each, events
     /// batched 256 at a time, default retry budgets, no faults, no swaps,
-    /// no journal, epoch records every 1024 events.
+    /// no journal.
     #[must_use]
     pub fn new(root_seed: u64) -> Self {
         ServeConfig {
@@ -98,7 +100,6 @@ impl ServeConfig {
             swaps: SwapPlan::new(),
             checkpoint: None,
             resume: None,
-            checkpoint_every: 1_024,
         }
     }
 
@@ -152,7 +153,11 @@ impl ServeConfig {
         self
     }
 
-    /// Writes a fleet checkpoint journal to `path` as the run progresses.
+    /// Writes a fleet checkpoint journal to `path`: the fleet header, one
+    /// `epoch` record per retry decision and one record per settled
+    /// system. Nothing is written for progress within an attempt: resume
+    /// replays each in-flight system from event zero, so the attempt
+    /// counters are all a journal needs.
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
@@ -168,15 +173,6 @@ impl ServeConfig {
     #[must_use]
     pub fn resume(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume = Some(path.into());
-        self
-    }
-
-    /// Sets the epoch-record cadence (in per-system events; min 1). Epochs
-    /// bound the replay a resume performs; the journal also records every
-    /// retry and settlement immediately regardless of cadence.
-    #[must_use]
-    pub fn checkpoint_every(mut self, events: u64) -> Self {
-        self.checkpoint_every = events.max(1);
         self
     }
 }
@@ -452,9 +448,9 @@ fn validate_swap_entry(system: &PmSystem, entry: &SwapEntry) -> Result<(), Strin
 /// Drives a fleet of independent simulated systems against one compiled
 /// policy, partitioned across `config.shards` threads, under supervision:
 /// per-system failures are isolated, retried within their error class's
-/// budget, and quarantined on exhaustion; progress is journaled when a
-/// checkpoint path is configured; scheduled hot swaps replace the shared
-/// policy at deterministic per-system event barriers.
+/// budget, and quarantined on exhaustion; retries and settlements are
+/// journaled when a checkpoint path is configured; scheduled hot swaps
+/// replace the shared policy at deterministic per-system event barriers.
 ///
 /// Results are bit-identical for any shard count and across kill/resume
 /// cycles (see the module docs for the argument); the shard count only
@@ -557,7 +553,8 @@ pub fn serve(
 /// Seeds a fresh journal with everything the resume journal already
 /// settled — contiguous settled systems compact to one range record —
 /// plus one epoch per in-flight system carrying its attempt counters
-/// forward, so a second kill before new progress still resumes correctly.
+/// forward, so a second kill before that system retries or settles still
+/// resumes it correctly.
 fn write_carried_forward(
     journal: &mut FleetJournal,
     restored: &[Restored],
@@ -578,10 +575,9 @@ fn write_carried_forward(
             Some(Restored::InFlight {
                 attempts,
                 seed_attempt,
-                events,
             }) => {
                 let seed = derive_serve_attempt_seed(root_seed, i as u64, *seed_attempt);
-                journal.epoch(i, *events, *attempts, *seed_attempt, seed)?;
+                journal.epoch(i, *attempts, *seed_attempt, seed)?;
                 i += 1;
             }
             _ => i += 1,
@@ -616,8 +612,6 @@ struct Slot {
     failures: u32,
     /// Round-robin visits left to skip before the next step batch.
     cooldown: u64,
-    /// Event count of the last journaled epoch for this attempt.
-    last_epoch: u64,
     /// Next unapplied entry in the swap schedule.
     next_swap: usize,
     run: Option<SimRun<PoissonWorkload, CompiledController>>,
@@ -633,7 +627,6 @@ impl Slot {
             seed: 0,
             failures: 0,
             cooldown: 0,
-            last_epoch: 0,
             next_swap: 0,
             run: None,
             record: None,
@@ -655,14 +648,9 @@ impl ShardCtx<'_> {
         }
     }
 
-    fn journal_epoch(&self, slot: &Slot, events: u64) -> Result<(), ServeError> {
-        let (system, attempts, seed_attempt, seed) =
-            (slot.system, slot.attempts, slot.seed_attempt, slot.seed);
-        self.with_journal(|j| j.epoch(system, events, attempts, seed_attempt, seed))
-    }
-
     /// Builds (or rebuilds) a slot's run for its current seed stream,
-    /// caching that stream's seed on the slot for the epochs it journals.
+    /// caching that stream's seed on the slot for the epoch a retry
+    /// journals.
     fn build(
         &self,
         slot: &mut Slot,
@@ -727,13 +715,14 @@ impl ShardCtx<'_> {
         }
         slot.cooldown = self.config.retry.backoff_visits(slot.failures);
         slot.next_swap = 0;
-        slot.last_epoch = 0;
         match self.build(slot) {
             Ok(run) => {
                 slot.run = Some(run);
                 // Persist the retry decision immediately: a kill right
                 // after this line resumes into the same attempt counters.
-                self.journal_epoch(slot, 0)
+                self.with_journal(|j| {
+                    j.epoch(slot.system, slot.attempts, slot.seed_attempt, slot.seed)
+                })
             }
             Err((class, message)) => self.quarantine(slot, class, message),
         }
@@ -768,14 +757,10 @@ fn run_shard(
             Some(Restored::InFlight {
                 attempts,
                 seed_attempt,
-                events,
             }) => {
                 slot.attempts = (*attempts).max(1);
                 slot.seed_attempt = *seed_attempt;
                 slot.failures = slot.attempts.saturating_sub(1);
-                // Epochs below the journaled progress are already on
-                // record (carried forward at journal creation).
-                slot.last_epoch = *events;
                 init_run(ctx, &mut slot)?;
             }
             _ => init_run(ctx, &mut slot)?,
@@ -810,16 +795,7 @@ fn run_shard(
                 }))
             };
             match batch {
-                Ok(Ok(true)) => {
-                    let events = slot.run.as_ref().map_or(0, SimRun::events);
-                    if ctx.journal.is_some()
-                        && events.saturating_sub(slot.last_epoch) >= ctx.config.checkpoint_every
-                    {
-                        ctx.journal_epoch(slot, events)?;
-                        slot.last_epoch = events;
-                    }
-                    live += 1;
-                }
+                Ok(Ok(true)) => live += 1,
                 Ok(Ok(false)) => {
                     if let Some(run) = slot.run.take() {
                         let record = SystemRecord {

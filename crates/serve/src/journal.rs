@@ -3,14 +3,17 @@
 //!
 //! A journal is one header line identifying the fleet (format tag, root
 //! seed, fleet size, per-system workload), then one compact JSON line per
-//! supervision event, appended and flushed as it happens:
+//! supervision decision, appended and flushed as it happens:
 //!
-//! * `epoch` — a system reached event count `events` on attempt
-//!   `attempts` under seed stream `seed_attempt`. Epochs are *logical
-//!   checkpoints*: because the engine is deterministic in its seed,
-//!   restore is replay — rebuilding the run and re-stepping re-derives
-//!   the journaled state bit-exactly, so nothing beyond the counters
-//!   needs persisting.
+//! * `epoch` — a system starts attempt `attempts` under seed stream
+//!   `seed_attempt`: written at every retry decision, and for every
+//!   in-flight system when a resumed run opens its journal. Because the
+//!   engine is deterministic in its seed, those two counters are a
+//!   complete checkpoint: restore is replay from event zero, which
+//!   re-derives every later state bit-exactly. The record's `events`
+//!   field is written as 0; the loader accepts any value there and
+//!   ignores it, so journals that also carry periodic progress epochs
+//!   (`events > 0`, as older writers appended) still resume.
 //! * `done` — the system finished; the full bit-exact report rides on
 //!   the record (floats in Rust's shortest round-trip form, which the
 //!   canonical JSON layer parses back to identical bits).
@@ -20,10 +23,16 @@
 //!   becomes one range record (the fleet twin of the harness journal's
 //!   `run_start` records), so a long resume chain costs `O(gaps)` writes.
 //!
-//! Loading tolerates exactly one torn *trailing* line — the signature of
-//! a process killed mid-append. Interior corruption, header mismatches
-//! and seed-derivation mismatches are hard errors: silently dropping
-//! entries would break the bit-identical resume guarantee.
+//! A fault-free fleet of `N` systems thus journals `N + 1` lines, however
+//! long it runs.
+//!
+//! Loading tolerates exactly one torn *trailing* line — a last line that
+//! is not JSON, the signature of a process killed mid-append. Interior
+//! corruption, header mismatches, and any well-formed record that fails
+//! validation (a seed that disagrees with re-derivation, a system outside
+//! the fleet, an unknown kind), on the last line as anywhere else, are
+//! hard errors: silently dropping entries would break the bit-identical
+//! resume guarantee.
 
 use std::fs::File;
 use std::io::Write as _;
@@ -89,12 +98,11 @@ impl FleetJournal {
             .map_err(|e| io_err("flushing journal", &e))
     }
 
-    /// Appends one epoch record and flushes, so the entry survives a kill
-    /// immediately after.
+    /// Appends one epoch record (an attempt starting at event 0) and
+    /// flushes, so the entry survives a kill immediately after.
     pub(crate) fn epoch(
         &mut self,
         system: usize,
-        events: u64,
         attempts: u32,
         seed_attempt: u32,
         seed: u64,
@@ -102,7 +110,7 @@ impl FleetJournal {
         let mut doc = Json::object();
         doc.set("kind", "epoch");
         doc.set("system", system);
-        doc.set("events", events);
+        doc.set("events", 0_u64);
         doc.set("attempts", u64::from(attempts));
         doc.set("seed_attempt", u64::from(seed_attempt));
         doc.set("seed", seed);
@@ -248,15 +256,13 @@ fn report_from_json(doc: &Json) -> Result<SimReport, String> {
 pub(crate) enum Restored {
     /// Never journaled: start from scratch.
     Fresh,
-    /// Mid-flight at the kill: restart the attempt counters and replay.
+    /// Mid-flight at the kill: restart the attempt counters and replay
+    /// from event zero.
     InFlight {
         /// Attempts started (≥ 1).
         attempts: u32,
         /// Seed-stream index of the in-flight attempt.
         seed_attempt: u32,
-        /// Journaled event-count progress (informational: restore is
-        /// replay from event zero, which re-derives this state exactly).
-        events: u64,
     },
     /// Settled (served or quarantined): carry the record forward.
     Settled(SystemRecord),
@@ -284,7 +290,9 @@ fn interpret_line(
             let attempts = get_u32(doc, "attempts")?;
             let seed_attempt = get_u32(doc, "seed_attempt")?;
             let seed = get_u64(doc, "seed")?;
-            let events = get_u64(doc, "events")?;
+            // Progress within an attempt is never needed (replay starts
+            // at event 0), but the field is part of the record's format.
+            get_u64(doc, "events")?;
             validate_counters(system, attempts, seed_attempt)?;
             let expected = derive_serve_attempt_seed(root_seed, system as u64, seed_attempt);
             if seed != expected {
@@ -297,7 +305,6 @@ fn interpret_line(
                 Restored::InFlight {
                     attempts,
                     seed_attempt,
-                    events,
                 },
             )
         }
@@ -391,7 +398,9 @@ fn settled_from_json(
 ///
 /// Later records supersede earlier ones for the same system (an append
 /// order the supervisor guarantees), so the last word on each system
-/// wins. Exactly one torn trailing line is tolerated.
+/// wins. Exactly one torn trailing line is tolerated: a last line that
+/// does not parse as JSON. A record that parses but fails validation is
+/// an error wherever it sits.
 pub(crate) fn load_fleet(
     path: &Path,
     root_seed: u64,
@@ -428,26 +437,17 @@ pub(crate) fn load_fleet(
     let records: Vec<&str> = lines.collect();
     let mut restored = vec![Restored::Fresh; systems];
     for (index, line) in records.iter().enumerate() {
-        let last = index + 1 == records.len();
-        let parsed = Json::parse(line)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| interpret_line(&doc, root_seed, systems));
-        match parsed {
-            Ok(updates) => {
-                for (system, state) in updates {
-                    if let Some(slot) = restored.get_mut(system) {
-                        *slot = state;
-                    }
-                }
-            }
+        let corrupt = |reason: String| checkpoint_err(format!("line {}: {reason}", index + 2));
+        let doc = match Json::parse(line) {
+            Ok(doc) => doc,
             // A torn final line is the signature of a kill mid-append:
             // the entry simply was not durable yet, so the system reruns.
-            Err(_) if last => break,
-            Err(reason) => {
-                return Err(checkpoint_err(format!(
-                    "corrupt interior record on line {}: {reason}",
-                    index + 2
-                )));
+            Err(_) if index + 1 == records.len() => break,
+            Err(e) => return Err(corrupt(format!("corrupt interior record: {e}"))),
+        };
+        for (system, state) in interpret_line(&doc, root_seed, systems).map_err(corrupt)? {
+            if let Some(slot) = restored.get_mut(system) {
+                *slot = state;
             }
         }
     }
@@ -505,9 +505,7 @@ mod tests {
     fn journal_round_trips_epochs_and_settled_records() {
         let path = scratch("round-trip.jsonl");
         let mut journal = FleetJournal::create(&path, 7, 4, 100).unwrap();
-        journal
-            .epoch(1, 512, 1, 0, derive_serve_seed(7, 1))
-            .unwrap();
+        journal.epoch(1, 1, 0, derive_serve_seed(7, 1)).unwrap();
         let done = SystemRecord {
             system: 2,
             attempts: 1,
@@ -533,8 +531,7 @@ mod tests {
             restored[1],
             Restored::InFlight {
                 attempts: 1,
-                seed_attempt: 0,
-                events: 512
+                seed_attempt: 0
             }
         );
         assert_eq!(restored[2], Restored::Settled(done));
@@ -569,13 +566,13 @@ mod tests {
     fn torn_trailing_line_is_tolerated_but_interior_corruption_is_fatal() {
         let path = scratch("torn.jsonl");
         let mut journal = FleetJournal::create(&path, 5, 2, 10).unwrap();
-        journal.epoch(0, 64, 1, 0, derive_serve_seed(5, 0)).unwrap();
+        journal.epoch(0, 1, 0, derive_serve_seed(5, 0)).unwrap();
         drop(journal);
         let mut text = std::fs::read_to_string(&path).unwrap();
         text.push_str("{\"kind\":\"epoch\",\"system\":1,\"eve");
         std::fs::write(&path, &text).unwrap();
         let restored = load_fleet(&path, 5, 2, 10).unwrap();
-        assert!(matches!(restored[0], Restored::InFlight { events: 64, .. }));
+        assert!(matches!(restored[0], Restored::InFlight { .. }));
         assert_eq!(restored[1], Restored::Fresh);
 
         // The same junk followed by a valid line is interior corruption.
@@ -597,9 +594,7 @@ mod tests {
     fn header_and_seed_mismatches_are_rejected() {
         let path = scratch("mismatch.jsonl");
         let mut journal = FleetJournal::create(&path, 11, 2, 10).unwrap();
-        journal
-            .epoch(0, 64, 1, 0, derive_serve_seed(11, 0))
-            .unwrap();
+        journal.epoch(0, 1, 0, derive_serve_seed(11, 0)).unwrap();
         drop(journal);
         // Wrong fleet parameters.
         for (root, systems, requests) in [(12, 2, 10), (11, 3, 10), (11, 2, 99)] {
@@ -610,15 +605,55 @@ mod tests {
         }
         // A tampered seed fails derivation validation (interior line).
         let mut journal = FleetJournal::create(&path, 11, 2, 10).unwrap();
-        journal.epoch(0, 64, 1, 0, 0xdead_beef).unwrap();
-        journal
-            .epoch(1, 64, 1, 0, derive_serve_seed(11, 1))
-            .unwrap();
+        journal.epoch(0, 1, 0, 0xdead_beef).unwrap();
+        journal.epoch(1, 1, 0, derive_serve_seed(11, 1)).unwrap();
         drop(journal);
         assert!(matches!(
             load_fleet(&path, 11, 2, 10),
             Err(ServeError::Checkpoint { .. })
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn well_formed_but_invalid_final_record_is_rejected_not_dropped() {
+        let path = scratch("invalid-final.jsonl");
+        let seed = derive_serve_seed(13, 1);
+        let epoch = |system: usize, kind: &str, seed: u64| {
+            format!(
+                "{{\"kind\":\"{kind}\",\"system\":{system},\"events\":0,\
+                 \"attempts\":1,\"seed_attempt\":0,\"seed\":{seed}}}"
+            )
+        };
+        let journal_with = |last: &str| {
+            FleetJournal::create(&path, 13, 2, 10).unwrap();
+            let mut text = std::fs::read_to_string(&path).unwrap();
+            text.push_str(&epoch(0, "epoch", derive_serve_seed(13, 0)));
+            text.push('\n');
+            text.push_str(last);
+            std::fs::write(&path, &text).unwrap();
+            load_fleet(&path, 13, 2, 10)
+        };
+        // A tampered seed, a system outside the fleet and an unknown kind
+        // are complete lines, not torn appends: each is a hard error.
+        for last in [
+            epoch(1, "epoch", 0xdead_beef),
+            epoch(2, "epoch", derive_serve_seed(13, 2)),
+            epoch(1, "progress", seed),
+        ] {
+            assert!(
+                matches!(journal_with(&last), Err(ServeError::Checkpoint { .. })),
+                "{last}"
+            );
+        }
+        // The same valid record is restored, and half of it is a torn
+        // append that is dropped.
+        let valid = epoch(1, "epoch", seed);
+        let restored = journal_with(&valid).unwrap();
+        assert!(matches!(restored[1], Restored::InFlight { .. }));
+        let restored = journal_with(&valid[..valid.len() / 2]).unwrap();
+        assert!(matches!(restored[0], Restored::InFlight { .. }));
+        assert_eq!(restored[1], Restored::Fresh);
         std::fs::remove_file(&path).unwrap();
     }
 }

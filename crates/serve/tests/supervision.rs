@@ -7,13 +7,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dpm_core::{PmPolicy, PmSystem, SpModel, SrModel};
-use dpm_harness::{artifact, seed::derive_serve_attempt_seed};
+use dpm_harness::{artifact, seed::derive_serve_attempt_seed, Json};
 use dpm_serve::{
     serve, CompiledController, CompiledPolicy, ErrorClass, RetryPolicy, ServeConfig,
     ServeFaultPlan, SwapPlan, SystemStatus,
 };
 use dpm_sim::{workload::PoissonWorkload, SimConfig, SimReport, Simulator};
-use proptest::prelude::*;
 
 fn system() -> PmSystem {
     PmSystem::builder()
@@ -444,71 +443,240 @@ fn finished_runs_resume_to_identical_outcomes_through_compaction() {
     std::fs::remove_file(&second_journal).ok();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// The fleet the journal tests kill and resume: mid-run supervision
+/// activity (one panic retry, one engine retry), so the journal carries
+/// retry state, not just settlements, across the kill.
+fn kill_fleet() -> ServeConfig {
+    ServeConfig::new(29)
+        .systems(10)
+        .requests_per_system(800)
+        .faults(
+            ServeFaultPlan::new()
+                .panic_at(1, 200, 1)
+                .error_at(4, 150, 1),
+        )
+}
 
-    /// Kill-at-any-point: truncating the journal after ANY prefix of its
-    /// records (optionally with a torn trailing line, as a real SIGKILL
-    /// leaves behind) and resuming — at any shard count — reproduces the
-    /// uninterrupted run field-for-field.
-    #[test]
-    fn kill_at_random_epoch_resumes_bit_identically(
-        cut in 0usize..10_000,
-        torn_flag in 0usize..2,
-        shard_pick in 0usize..3,
-    ) {
-        let torn = torn_flag == 1;
-        let shards = [1usize, 2, 4][shard_pick];
-        let system = system();
-        let policy = greedy(&system);
-        let full_journal = scratch("kill-full.jsonl");
-        let base = ServeConfig::new(29)
-            .systems(10)
-            .requests_per_system(800)
-            .checkpoint_every(64)
-            // Mid-run supervision activity, so the journal carries retry
-            // state (not just progress) across the kill.
-            .faults(ServeFaultPlan::new().panic_at(1, 200, 1).error_at(4, 150, 1));
-        let reference = serve(
-            &system,
-            &policy,
-            &base.clone().shards(2).checkpoint(&full_journal),
-        ).unwrap();
+fn journal_records(path: &std::path::Path) -> Vec<Json> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut lines = text.lines();
+    let header = Json::parse(lines.next().unwrap()).unwrap();
+    assert_eq!(
+        header.get("format").and_then(Json::as_str),
+        Some("dpm-serve-checkpoint/v1")
+    );
+    lines.map(|line| Json::parse(line).unwrap()).collect()
+}
 
-        // Simulate the kill: keep the header plus a random prefix of the
-        // records, optionally followed by a torn half-record.
-        let text = std::fs::read_to_string(&full_journal).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        prop_assert!(lines.len() > 1, "journal should hold records");
-        let records = &lines[1..];
-        let keep = cut % (records.len() + 1);
-        let mut truncated = lines[0].to_owned();
-        for line in &records[..keep] {
-            truncated.push('\n');
-            truncated.push_str(line);
-        }
-        if torn {
-            if let Some(next) = records.get(keep) {
+fn field(record: &Json, key: &str) -> i128 {
+    match record.get(key) {
+        Some(Json::Int(v)) => *v,
+        other => panic!("{key}: {other:?}"),
+    }
+}
+
+fn kind(record: &Json) -> &str {
+    record.get("kind").and_then(Json::as_str).unwrap()
+}
+
+#[test]
+fn fault_free_journal_holds_the_header_and_one_settlement_per_system() {
+    let system = system();
+    let policy = greedy(&system);
+    let path = scratch("shape-clean.jsonl");
+    let outcome = serve(
+        &system,
+        &policy,
+        &ServeConfig::new(30)
+            .systems(7)
+            .requests_per_system(2_000)
+            .shards(2)
+            .checkpoint(&path),
+    )
+    .unwrap();
+    assert!(
+        outcome
+            .records()
+            .iter()
+            .all(|r| r.report().unwrap().events() > 1_024),
+        "every system runs long enough for progress to be worth recording"
+    );
+    let records = journal_records(&path);
+    assert_eq!(records.len(), 7, "N + 1 lines with the header");
+    let mut systems: Vec<i128> = records.iter().map(|r| field(r, "system")).collect();
+    systems.sort_unstable();
+    assert_eq!(systems, (0..7).collect::<Vec<_>>());
+    assert!(records.iter().all(|r| kind(r) == "done"));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn faulted_journal_holds_one_epoch_per_retry_and_one_settlement_per_system() {
+    let system = system();
+    let policy = greedy(&system);
+    let path = scratch("shape-faulted.jsonl");
+    let config = ServeConfig::new(31)
+        .systems(10)
+        .requests_per_system(800)
+        .shards(2)
+        .faults(
+            ServeFaultPlan::new()
+                .panic_at(1, 200, 1)
+                .error_at(4, 150, 1)
+                .panic_at(6, 100, u32::MAX)
+                .setup_failure(8),
+        )
+        .retry(RetryPolicy::new().panic_attempts(3))
+        .checkpoint(&path);
+    let outcome = serve(&system, &policy, &config).unwrap();
+    assert_eq!(outcome.quarantined(), 2, "systems 6 and 8");
+    let records = journal_records(&path);
+    let (epochs, settlements): (Vec<&Json>, Vec<&Json>) =
+        records.iter().partition(|r| kind(r) == "epoch");
+    // One epoch per retry decision, each at event 0: system 1 retries its
+    // panic once, 4 its engine error once, 6 its panic twice before the
+    // budget of 3 is spent; the setup failure on 8 is never retried.
+    let mut retried: Vec<(i128, i128, i128)> = epochs
+        .iter()
+        .map(|r| {
+            assert_eq!(field(r, "events"), 0);
+            (
+                field(r, "system"),
+                field(r, "attempts"),
+                field(r, "seed_attempt"),
+            )
+        })
+        .collect();
+    retried.sort_unstable();
+    assert_eq!(retried, vec![(1, 2, 0), (4, 2, 1), (6, 2, 0), (6, 3, 0)]);
+    let mut settled: Vec<i128> = settlements.iter().map(|r| field(r, "system")).collect();
+    settled.sort_unstable();
+    assert_eq!(settled, (0..10).collect::<Vec<_>>());
+    assert_eq!(records.len(), 4 + 10);
+    std::fs::remove_file(&path).ok();
+}
+
+/// Kill-at-any-point: truncating the journal after EVERY prefix of its
+/// records, with and without a torn half of the next record (what a
+/// SIGKILL mid-append leaves behind), and resuming at 1, 2 and 4 shards
+/// reproduces the uninterrupted run field-for-field.
+#[test]
+fn kill_at_every_record_resumes_bit_identically() {
+    let system = system();
+    let policy = greedy(&system);
+    let full_journal = scratch("kill-full.jsonl");
+    let cut_journal = scratch("kill-cut.jsonl");
+    let reference = serve(
+        &system,
+        &policy,
+        &kill_fleet().shards(2).checkpoint(&full_journal),
+    )
+    .unwrap();
+    let text = std::fs::read_to_string(&full_journal).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let records = &lines[1..];
+    assert_eq!(records.len(), 2 + 10, "two retries, ten settlements");
+    for keep in 0..=records.len() {
+        for torn in [false, true] {
+            let mut truncated = lines[0].to_owned();
+            for line in &records[..keep] {
+                truncated.push('\n');
+                truncated.push_str(line);
+            }
+            if torn {
+                let Some(next) = records.get(keep) else {
+                    continue;
+                };
                 truncated.push('\n');
                 truncated.push_str(&next[..next.len() / 2]);
             }
+            std::fs::write(&cut_journal, &truncated).unwrap();
+            for shards in [1, 2, 4] {
+                let resumed = serve(
+                    &system,
+                    &policy,
+                    &kill_fleet().shards(shards).resume(&cut_journal),
+                )
+                .unwrap();
+                let case = format!("{keep} records, torn {torn}, {shards} shards");
+                assert_eq!(resumed.records(), reference.records(), "{case}");
+                assert_eq!(resumed.fingerprint(), reference.fingerprint(), "{case}");
+                assert_eq!(resumed.merged(), reference.merged(), "{case}");
+                assert_eq!(
+                    artifact::diff(&resumed.to_json(), &reference.to_json(), 0.0),
+                    Vec::<String>::new(),
+                    "{case}"
+                );
+            }
         }
-        let cut_journal = scratch("kill-cut.jsonl");
-        std::fs::write(&cut_journal, &truncated).unwrap();
+    }
+    std::fs::remove_file(&full_journal).ok();
+    std::fs::remove_file(&cut_journal).ok();
+}
 
+/// Journals from writers that also appended periodic progress epochs
+/// (`events > 0`) still resume: the loader reads only their attempt
+/// counters, and replay re-derives the progress.
+#[test]
+fn journals_with_progress_epochs_resume_bit_identically() {
+    let system = system();
+    let policy = greedy(&system);
+    let full_journal = scratch("progress-full.jsonl");
+    let progress_journal = scratch("progress-cut.jsonl");
+    let reference = serve(
+        &system,
+        &policy,
+        &kill_fleet().shards(2).checkpoint(&full_journal),
+    )
+    .unwrap();
+    let text = std::fs::read_to_string(&full_journal).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    let settlement = |system: i128| {
+        lines[1..]
+            .iter()
+            .find(|line| {
+                let record = Json::parse(line).unwrap();
+                kind(&record) == "done" && field(&record, "system") == system
+            })
+            .unwrap()
+    };
+    let epoch = |system: u64, events: u64, attempts: u32, seed_attempt: u32| {
+        format!(
+            "{{\"kind\":\"epoch\",\"system\":{system},\"events\":{events},\
+             \"attempts\":{attempts},\"seed_attempt\":{seed_attempt},\"seed\":{}}}",
+            derive_serve_attempt_seed(29, system, seed_attempt)
+        )
+    };
+    // What a writer with a 64-event progress cadence would have left at a
+    // kill: progress on every system, system 4 retried after its engine
+    // error (fresh stream) and system 1 after its panic (same stream),
+    // each with progress on the new attempt, and two systems settled.
+    let mut journal = vec![lines[0].to_owned()];
+    for events in [64, 128] {
+        journal.extend((0..10).map(|i| epoch(i, events, 1, 0)));
+    }
+    journal.push(epoch(4, 0, 2, 1));
+    journal.push(epoch(4, 64, 2, 1));
+    journal.push(epoch(1, 0, 2, 0));
+    journal.push(epoch(1, 128, 2, 0));
+    journal.push((*settlement(0)).to_owned());
+    journal.push((*settlement(9)).to_owned());
+    journal.push(epoch(5, 192, 1, 0));
+    std::fs::write(&progress_journal, journal.join("\n")).unwrap();
+    for shards in [1, 2] {
         let resumed = serve(
             &system,
             &policy,
-            &base.clone().shards(shards).resume(&cut_journal),
-        ).unwrap();
-        prop_assert_eq!(resumed.records(), reference.records());
-        prop_assert_eq!(resumed.fingerprint(), reference.fingerprint());
-        prop_assert_eq!(resumed.merged(), reference.merged());
-        prop_assert_eq!(
+            &kill_fleet().shards(shards).resume(&progress_journal),
+        )
+        .unwrap();
+        assert_eq!(resumed.records(), reference.records(), "{shards} shards");
+        assert_eq!(
             artifact::diff(&resumed.to_json(), &reference.to_json(), 0.0),
-            Vec::<String>::new()
+            Vec::<String>::new(),
+            "{shards} shards"
         );
-        std::fs::remove_file(&full_journal).ok();
-        std::fs::remove_file(&cut_journal).ok();
     }
+    std::fs::remove_file(&full_journal).ok();
+    std::fs::remove_file(&progress_journal).ok();
 }

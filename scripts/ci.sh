@@ -160,13 +160,30 @@ SERVE_CHAOS=(--systems 16 --requests 200000 --seed 99
 # The resume leg only diffs against this reference, which moves with the
 # random streams, so pin its fingerprint too.
 pin "$SMOKE_DIR/serve_chaos_ref.json" '"fingerprint": "cb7e9160613c1056"'
-# The same run, SIGKILLed as soon as its journal shows progress.
+# The same run uninterrupted with a journal: journaling must not change
+# the outcome, and the journal holds only what resume reads — the header,
+# one epoch per retry (5) and one settlement per system (16).
+./target/release/bench_serve "${SERVE_CHAOS[@]}" --shards 2 \
+    --checkpoint "$SMOKE_DIR/serve_chaos_full.jsonl" \
+    --outcome-out "$SMOKE_DIR/serve_chaos_journaled.json" > /dev/null 2> /dev/null
+./target/release/artifact_diff --a "$SMOKE_DIR/serve_chaos_ref.json" \
+    --b "$SMOKE_DIR/serve_chaos_journaled.json"
+journal_lines() { # journal_lines FILE: line count, 0 while FILE is absent.
+    if [ -e "$1" ]; then wc -l < "$1"; else echo 0; fi
+}
+CHAOS_LINES="$(journal_lines "$SMOKE_DIR/serve_chaos_full.jsonl")"
+if [ "$CHAOS_LINES" -ne 22 ]; then
+    echo "chaos journal holds $CHAOS_LINES lines (expected 22: header, 5 retries, 16 settlements)" >&2
+    exit 1
+fi
+# The same run, SIGKILLed as soon as its journal holds a record beyond
+# the header.
 ./target/release/bench_serve "${SERVE_CHAOS[@]}" --shards 2 \
     --checkpoint "$SMOKE_DIR/serve_chaos.jsonl" \
     --outcome-out "$SMOKE_DIR/serve_chaos_never.json" > /dev/null 2> /dev/null &
 CHAOS_PID=$!
 for _ in $(seq 1 500); do
-    [ -s "$SMOKE_DIR/serve_chaos.jsonl" ] && break
+    [ "$(journal_lines "$SMOKE_DIR/serve_chaos.jsonl")" -ge 2 ] && break
     sleep 0.01
 done
 kill -9 "$CHAOS_PID" 2> /dev/null || true
