@@ -40,25 +40,37 @@ pub struct Lu {
 impl Lu {
     /// Factorizes `a`, consuming it as workspace.
     ///
+    /// Elimination runs on row slices of the row-major storage. Each pivot
+    /// row's nonzero trailing columns are collected once, and only those
+    /// columns of the rows below are updated, so the structural zeros of
+    /// a sparse chain cost nothing. Every update is the plain
+    /// `a[r][c] -= factor * a[k][c]`, in row-then-column order, so the
+    /// factors are those of the textbook loop; a skipped column could only
+    /// have flipped the sign of an exact zero.
+    ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::NotSquare`] if `a` is not square, or
+    /// Returns [`LinalgError::NotSquare`] if `a` is not square,
+    /// [`LinalgError::InvalidInput`] if an entry is NaN or infinite, or
     /// [`LinalgError::Singular`] if a pivot is (numerically) zero.
     pub fn new(mut a: DMatrix) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
         let n = a.nrows();
+        let scale = finite_scale(&a)?;
         let mut perm: Vec<usize> = (0..n).collect();
         let mut sign = 1.0;
-        let scale = a.max_abs().max(1.0);
+        // The pivot row's nonzero trailing entries as `(column, value)`.
+        let mut pivot_nz: Vec<(usize, f64)> = Vec::with_capacity(n);
+        let data = a.as_mut_slice();
 
         for k in 0..n {
             // Find the largest pivot in column k at or below the diagonal.
             let mut pivot_row = k;
-            let mut pivot_val = a[(k, k)].abs();
+            let mut pivot_val = data[k * n + k].abs();
             for r in (k + 1)..n {
-                let v = a[(r, k)].abs();
+                let v = data[r * n + k].abs();
                 if v > pivot_val {
                     pivot_val = v;
                     pivot_row = r;
@@ -68,23 +80,29 @@ impl Lu {
                 return Err(LinalgError::Singular { pivot: k });
             }
             if pivot_row != k {
-                for c in 0..n {
-                    let tmp = a[(k, c)];
-                    a[(k, c)] = a[(pivot_row, c)];
-                    a[(pivot_row, c)] = tmp;
-                }
+                let (upper, lower) = data.split_at_mut(pivot_row * n);
+                upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
                 perm.swap(k, pivot_row);
                 sign = -sign;
             }
-            let pivot = a[(k, k)];
-            for r in (k + 1)..n {
-                let factor = a[(r, k)] / pivot;
-                a[(r, k)] = factor;
-                // dpm-lint: allow(float_eq, reason = "exact structural-zero skip: a 0.0 factor contributes nothing to the update")
-                if factor != 0.0 {
-                    for c in (k + 1)..n {
-                        let delta = factor * a[(k, c)];
-                        a[(r, c)] -= delta;
+            let (upper, lower) = data.split_at_mut((k + 1) * n);
+            let pivot_slice = &upper[k * n..];
+            let pivot = pivot_slice[k];
+            pivot_nz.clear();
+            pivot_nz.extend(
+                pivot_slice
+                    .iter()
+                    .enumerate()
+                    .skip(k + 1)
+                    .filter(|&(_, &u)| !is_zero(u))
+                    .map(|(c, &u)| (c, u)),
+            );
+            for row in lower.chunks_exact_mut(n) {
+                let factor = row[k] / pivot;
+                row[k] = factor;
+                if !is_zero(factor) {
+                    for &(c, u) in &pivot_nz {
+                        row[c] -= factor * u;
                     }
                 }
             }
@@ -117,25 +135,26 @@ impl Lu {
                 right: (b.len(), 1),
             });
         }
+        let f = self.factors.as_slice();
         // Apply permutation: y = P b.
-        let mut x = DVector::from_fn(n, |i| b[self.perm[i]]);
+        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
         // Forward substitution with unit lower triangle.
         for i in 1..n {
-            let mut sum = x[i];
-            for k in 0..i {
-                sum -= self.factors[(i, k)] * x[k];
-            }
-            x[i] = sum;
+            x[i] = f[i * n..i * n + i]
+                .iter()
+                .zip(&x[..i])
+                .fold(x[i], |sum, (l, xk)| sum - l * xk);
         }
         // Back substitution with upper triangle.
         for i in (0..n).rev() {
-            let mut sum = x[i];
-            for k in (i + 1)..n {
-                sum -= self.factors[(i, k)] * x[k];
-            }
-            x[i] = sum / self.factors[(i, i)];
+            let row = &f[i * n..(i + 1) * n];
+            let sum = row[i + 1..]
+                .iter()
+                .zip(&x[i + 1..])
+                .fold(x[i], |sum, (u, xk)| sum - u * xk);
+            x[i] = sum / row[i];
         }
-        Ok(x)
+        Ok(DVector::from_vec(x))
     }
 
     /// Solves `A X = B` column by column.
@@ -186,9 +205,278 @@ impl Lu {
     }
 }
 
+/// Whether `x` is an exact zero: a factor or pivot-row entry that is one
+/// adds nothing to an elimination update, so the update is skipped.
+fn is_zero(x: f64) -> bool {
+    // dpm-lint: allow(float_eq, reason = "exact structural-zero skip: a 0.0 operand contributes nothing to the update")
+    x == 0.0
+}
+
+/// The singularity threshold's scale, `max(1, max |a_ij|)`, checking on
+/// the same pass that every entry is finite: a NaN would otherwise factor
+/// "successfully" into NaN solves, and an infinity would report a
+/// misleading singular pivot.
+fn finite_scale(a: &DMatrix) -> Result<f64, LinalgError> {
+    let n = a.ncols().max(1);
+    let mut scale = 1.0f64;
+    for (i, &x) in a.as_slice().iter().enumerate() {
+        if !x.is_finite() {
+            return Err(LinalgError::InvalidInput {
+                reason: format!("LU input entry ({}, {}) is {x}", i / n, i % n),
+            });
+        }
+        scale = scale.max(x.abs());
+    }
+    Ok(scale)
+}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The textbook elimination the kernel must reproduce: the same pivot
+    /// choice, update expression and visiting order, but every column of
+    /// every row below the pivot, through the 2-D index.
+    fn reference_lu(mut a: DMatrix) -> Result<Lu, LinalgError> {
+        let n = a.nrows();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut sign = 1.0;
+        let scale = a.max_abs().max(1.0);
+        for k in 0..n {
+            let mut pivot_row = k;
+            let mut pivot_val = a[(k, k)].abs();
+            for r in (k + 1)..n {
+                let v = a[(r, k)].abs();
+                if v > pivot_val {
+                    pivot_val = v;
+                    pivot_row = r;
+                }
+            }
+            if pivot_val <= PIVOT_EPS * scale {
+                return Err(LinalgError::Singular { pivot: k });
+            }
+            if pivot_row != k {
+                for c in 0..n {
+                    let tmp = a[(k, c)];
+                    a[(k, c)] = a[(pivot_row, c)];
+                    a[(pivot_row, c)] = tmp;
+                }
+                perm.swap(k, pivot_row);
+                sign = -sign;
+            }
+            let pivot = a[(k, k)];
+            for r in (k + 1)..n {
+                let factor = a[(r, k)] / pivot;
+                a[(r, k)] = factor;
+                if factor != 0.0 {
+                    for c in (k + 1)..n {
+                        let delta = factor * a[(k, c)];
+                        a[(r, c)] -= delta;
+                    }
+                }
+            }
+        }
+        Ok(Lu {
+            factors: a,
+            perm,
+            sign,
+        })
+    }
+
+    /// The textbook substitutions over the 2-D index.
+    fn reference_solve(lu: &Lu, b: &DVector) -> DVector {
+        let n = lu.dim();
+        let mut x = DVector::from_fn(n, |i| b[lu.perm[i]]);
+        for i in 1..n {
+            let mut sum = x[i];
+            for k in 0..i {
+                sum -= lu.factors[(i, k)] * x[k];
+            }
+            x[i] = sum;
+        }
+        for i in (0..n).rev() {
+            let mut sum = x[i];
+            for k in (i + 1)..n {
+                sum -= lu.factors[(i, k)] * x[k];
+            }
+            x[i] = sum / lu.factors[(i, i)];
+        }
+        x
+    }
+
+    /// Asserts that the kernel factors `a` as the reference does: the same
+    /// permutation, sign and singular pivot, factors equal entrywise (so
+    /// at most the sign of an exact zero differs) and solves of `b` equal
+    /// bit for bit.
+    fn assert_matches_reference(a: &DMatrix, b: &DVector) {
+        match (Lu::new(a.clone()), reference_lu(a.clone())) {
+            (Ok(lu), Ok(reference)) => {
+                prop_assert_eq!(&lu.perm, &reference.perm);
+                prop_assert_eq!(lu.sign.to_bits(), reference.sign.to_bits());
+                prop_assert_eq!(&lu.factors, &reference.factors);
+                let x = lu.solve(b).unwrap();
+                let y = reference_solve(&reference, b);
+                for (xi, yi) in x.as_slice().iter().zip(y.as_slice()) {
+                    prop_assert_eq!(xi.to_bits(), yi.to_bits(), "solve {x:?} vs {y:?}");
+                }
+            }
+            (Err(e), Err(f)) => prop_assert_eq!(e, f),
+            (got, want) => panic!("kernel {got:?}, reference {want:?}"),
+        }
+    }
+
+    fn square(n: usize, entries: Vec<f64>) -> DMatrix {
+        DMatrix::from_row_major(n, n, entries).unwrap()
+    }
+
+    /// A dense matrix with entries in ±5.
+    fn dense(n: usize) -> impl Strategy<Value = DMatrix> {
+        prop::collection::vec(-5.0f64..5.0, n * n).prop_map(move |v| square(n, v))
+    }
+
+    /// A SYS-like block: a generator whose rates sit on a band around the
+    /// diagonal plus a few far transitions, with the diagonal holding the
+    /// negated exit rate (plus a leak into absorbing states, or none) and,
+    /// when `gain_column`, a last column of −1 as in a closed class's
+    /// gain/bias block. Most entries are structural zeros, and a block
+    /// without leak or gain column is singular. Rates repeat a few values,
+    /// as the arrival, service and instant rates of a SYS chain do, so
+    /// pivot candidates tie and the first-strict-maximum rule is exercised.
+    fn sys_like(n: usize) -> impl Strategy<Value = DMatrix> {
+        const RATES: [f64; 5] = [1.0 / 6.0, 0.5, 1.0, 2.0, 1e3];
+        (
+            0usize..3,
+            // Half the band's slots are structural zeros too.
+            prop::collection::vec(0usize..2 * RATES.len(), n * n),
+            prop::collection::vec(0.0f64..1.0, n * n),
+            0usize..2,
+            0usize..2,
+        )
+            .prop_map(move |(band, rates, far, leak, gain_column)| {
+                let rate = |i: usize| RATES.get(rates[i]).copied().unwrap_or(0.0);
+                let leak = if leak == 1 { 1e-3 } else { 0.0 };
+                let mut a = DMatrix::zeros(n, n);
+                for r in 0..n {
+                    for c in (0..n).filter(|&c| c != r) {
+                        let near = r.abs_diff(c) <= band + 1;
+                        if near || far[r * n + c] < 0.05 {
+                            a[(r, c)] = rate(r * n + c);
+                        }
+                    }
+                    a[(r, r)] = -a.row(r).iter().sum::<f64>() - leak;
+                    if gain_column == 1 {
+                        a[(r, n - 1)] = -1.0;
+                    }
+                }
+                a
+            })
+    }
+
+    /// A matrix whose diagonal is small against the rest, so nearly every
+    /// step swaps rows.
+    fn pivot_swapping(n: usize) -> impl Strategy<Value = DMatrix> {
+        dense(n).prop_map(move |mut a| {
+            for i in 0..n {
+                a[(i, i)] *= 1e-6;
+            }
+            a
+        })
+    }
+
+    /// A singular matrix: a dense one with a zero column or with one row
+    /// an exact power-of-two multiple of another.
+    fn singular(n: usize) -> impl Strategy<Value = DMatrix> {
+        (dense(n), 0..n, 0..n, 0usize..2).prop_map(move |(mut a, i, j, zero_column)| {
+            if zero_column == 1 || i == j {
+                for r in 0..n {
+                    a[(r, j)] = 0.0;
+                }
+            } else {
+                for c in 0..n {
+                    a[(j, c)] = -4.0 * a[(i, c)];
+                }
+            }
+            a
+        })
+    }
+
+    fn rhs(n: usize) -> impl Strategy<Value = DVector> {
+        prop::collection::vec(-10.0f64..10.0, n).prop_map(DVector::from_vec)
+    }
+
+    proptest! {
+        #[test]
+        fn dense_factors_match_reference(
+            (a, b) in (1usize..12).prop_flat_map(|n| (dense(n), rhs(n)))
+        ) {
+            assert_matches_reference(&a, &b);
+        }
+
+        #[test]
+        fn sys_like_factors_match_reference(
+            (a, b) in (2usize..40).prop_flat_map(|n| (sys_like(n), rhs(n)))
+        ) {
+            assert_matches_reference(&a, &b);
+        }
+
+        #[test]
+        fn pivot_swapping_factors_match_reference(
+            (a, b) in (2usize..12).prop_flat_map(|n| (pivot_swapping(n), rhs(n)))
+        ) {
+            assert_matches_reference(&a, &b);
+        }
+
+        #[test]
+        fn singular_matrices_fail_at_the_reference_pivot(
+            (a, b) in (2usize..12).prop_flat_map(|n| (singular(n), rhs(n)))
+        ) {
+            prop_assert!(Lu::new(a.clone()).is_err());
+            assert_matches_reference(&a, &b);
+        }
+    }
+
+    #[test]
+    fn zero_skip_may_flip_only_the_sign_of_an_exact_zero() {
+        // Step 0 updates row 1 with factor −1: the reference subtracts
+        // −1 · 0 from its −0.0 entry and gets +0.0, the kernel skips the
+        // zero pivot-row entry and keeps −0.0. After the swap at step 1 that
+        // zero becomes an L entry.
+        let a =
+            DMatrix::from_rows(&[&[1.0, 0.0, 0.0], &[-1.0, -0.0, 1.0], &[0.0, 1.0, 0.0]]).unwrap();
+        let lu = Lu::new(a.clone()).unwrap();
+        let reference = reference_lu(a.clone()).unwrap();
+        assert_eq!(lu.factors, reference.factors);
+        assert_eq!(lu.factors[(2, 1)].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(reference.factors[(2, 1)].to_bits(), 0.0f64.to_bits());
+        assert_matches_reference(&a, &DVector::from_vec(vec![1.0, 2.0, 3.0]));
+    }
+
+    #[test]
+    fn pivot_ties_keep_the_first_row() {
+        // |1| and |−1| tie in column 0: the first strict maximum keeps row 0.
+        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[-1.0, 3.0]]).unwrap();
+        let lu = Lu::new(a.clone()).unwrap();
+        assert_eq!(lu.perm, [0, 1]);
+        assert_matches_reference(&a, &DVector::from_vec(vec![1.0, 2.0]));
+    }
+
+    #[test]
+    fn nan_entry_is_invalid_input() {
+        let a = DMatrix::from_rows(&[&[1.0, 2.0], &[f64::NAN, 4.0]]).unwrap();
+        let err = a.lu().unwrap_err();
+        assert!(matches!(err, LinalgError::InvalidInput { .. }), "{err}");
+        assert!(err.to_string().contains("(1, 0) is NaN"), "{err}");
+    }
+
+    #[test]
+    fn infinite_entry_is_invalid_input_not_singular() {
+        let a = DMatrix::from_rows(&[&[1.0, f64::NEG_INFINITY], &[3.0, 4.0]]).unwrap();
+        let err = a.lu().unwrap_err();
+        assert!(matches!(err, LinalgError::InvalidInput { .. }), "{err}");
+        assert!(err.to_string().contains("(0, 1) is -inf"), "{err}");
+    }
 
     #[test]
     fn solves_known_system() {

@@ -190,6 +190,11 @@ impl DMatrix {
         &self.data
     }
 
+    /// Borrows the row-major storage mutably.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Returns the transpose.
     #[must_use]
     pub fn transpose(&self) -> DMatrix {

@@ -49,6 +49,11 @@ fi
 echo "=== cargo test ==="
 cargo test --workspace -q
 
+echo "=== golden frontier digest (all 102 perfbench frontier points, every output bit) ==="
+# The Q = 20 third runs with the suite above; the full sweep is ignored
+# there because it is slow unoptimized.
+cargo test -q --release -p dpm-core --test frontier_digest -- --ignored
+
 echo "=== perfbench tests (the benchmark's calls into the public APIs must compile and pass) ==="
 # perfbench is its own cargo workspace, so `--workspace` above skips it.
 # Release: its tiny-size workload runs take ~2 s optimized, ~40 s in debug.
