@@ -1,39 +1,36 @@
-//! Incremental checkpoint journals for resumable runs.
+//! The plan runner's checkpoint codec: what its journal records mean.
 //!
-//! A journal is a JSONL file: one header line identifying the plan
-//! (name, root seed, points, replications, schema version), then one
-//! compact JSON line per *completed* task, appended and flushed as tasks
-//! finish. Failed tasks are never journaled — on resume they simply run
-//! again.
+//! The journal itself — header line, line-atomic appends, the tolerated
+//! torn last line — is [`crate::journal`]. Here a journal's header
+//! identifies the plan (name, root seed, points, replications, schema
+//! version), and each record is one *completed* task, appended as the
+//! task finishes. Failed tasks are never journaled — on resume they
+//! simply run again.
 //!
 //! [`load_completed`] restores the completed set for
 //! [`crate::runner::run_plan_resilient`]. It accepts either a journal or
 //! a full schema-v2 artifact (so a finished run's output doubles as a
-//! resume source), validates that the source was written for the *same*
-//! plan — name, root seed, grid and per-task seeds all have to line up —
-//! and tolerates exactly one torn trailing line, the signature of a run
-//! killed mid-append. Anything else malformed is a hard
-//! [`HarnessError::Checkpoint`]: silently dropping interior entries
-//! would break the bit-identical resume guarantee.
+//! resume source), and validates that the source was written for the
+//! *same* plan — name, root seed, grid and per-task seeds all have to
+//! line up. A record that fails validation is a hard
+//! [`HarnessError::Checkpoint`] wherever it sits: silently dropping
+//! entries would break the bit-identical resume guarantee.
 //!
 //! # Compaction
 //!
 //! When a resumed run rewrites its journal, the carried-forward tasks are
 //! **compacted**: each maximal run of contiguous task indices becomes one
-//! *range record* (`{"run_start": s, "entries": [...]}`) written and
-//! flushed once via [`Journal::append_run`], instead of one line and one
-//! `fsync`-able flush per task. A long resume chain therefore costs
-//! `O(gaps)` writes, not `O(completed tasks)`, and the per-entry `task`
-//! index is implied by position, so the rewritten journal is also
-//! smaller. Live tasks finishing mid-run still append individually —
-//! compaction only ever applies to records already validated by a resume.
+//! *range record* (`{"run_start": s, "entries": [...]}`), one line and one
+//! flush instead of one per task. The per-entry `task` index is implied
+//! by position, so the rewritten journal is also smaller. Live tasks
+//! finishing mid-run still append individually — compaction only ever
+//! applies to records already validated by a resume.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::Write as _;
 use std::path::Path;
 
 use crate::artifact::SCHEMA_VERSION;
+use crate::journal::{self, Journal};
 use crate::json::Json;
 use crate::plan::Plan;
 use crate::runner::TaskRecord;
@@ -43,78 +40,33 @@ use crate::HarnessError;
 /// Value of the `journal` field on a journal's header line.
 pub const JOURNAL_TAG: &str = "dpm-harness-checkpoint";
 
-/// An open checkpoint journal being written by a run.
-#[derive(Debug)]
-pub struct Journal {
-    file: File,
-}
-
-impl Journal {
-    /// Creates (truncating) the journal at `path` and writes the plan
-    /// header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn create(path: impl AsRef<Path>, plan: &Plan) -> Result<Journal, HarnessError> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut file = File::create(path)?;
-        let mut header = Json::object();
-        header.set("journal", JOURNAL_TAG);
-        header.set("schema_version", SCHEMA_VERSION);
-        header.set("experiment", plan.name());
-        header.set("plan", plan.to_json());
-        header.write_line(&mut file)?;
-        file.flush()?;
-        Ok(Journal { file })
-    }
-
-    /// Appends one completed task and flushes, so the entry survives a
-    /// kill immediately after.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn append(&mut self, index: usize, record: &TaskRecord) -> Result<(), HarnessError> {
-        entry_json(index, record).write_line(&mut self.file)?;
-        self.file.flush()?;
-        Ok(())
-    }
-
-    /// Appends one *range record* covering the contiguous task indices
-    /// `start, start + 1, …` — one journal line, one flush, however many
-    /// tasks the run spans. Used to compact carried-forward tasks when a
-    /// resumed run rewrites its journal.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn append_run(
-        &mut self,
-        start: usize,
-        records: &[&TaskRecord],
-    ) -> Result<(), HarnessError> {
-        if records.is_empty() {
-            return Ok(());
-        }
+/// Creates (truncating) the checkpoint journal for `plan` at `path` and
+/// carries `completed` forward into it as range records.
+pub(crate) fn create(
+    path: &Path,
+    plan: &Plan,
+    completed: &BTreeMap<usize, TaskRecord>,
+) -> Result<Journal, HarnessError> {
+    let mut header = Json::object();
+    header.set("journal", JOURNAL_TAG);
+    header.set("schema_version", SCHEMA_VERSION);
+    header.set("experiment", plan.name());
+    header.set("plan", plan.to_json());
+    let journal = Journal::create(path, &header)?;
+    for (start, run) in journal::contiguous_runs(completed.iter().map(|(&i, r)| (i, r))) {
         let mut node = Json::object();
         node.set("run_start", start);
         node.set(
             "entries",
-            Json::Array(records.iter().map(|r| entry_body(r)).collect()),
+            Json::Array(run.into_iter().map(entry_body).collect()),
         );
-        node.write_line(&mut self.file)?;
-        self.file.flush()?;
-        Ok(())
+        journal.append(&node)?;
     }
+    Ok(journal)
 }
 
-fn entry_json(index: usize, record: &TaskRecord) -> Json {
+/// The journal record of task `index`, completed by this run.
+pub(crate) fn entry(index: usize, record: &TaskRecord) -> Json {
     let mut node = entry_body(record);
     node.set("task", index);
     node
@@ -146,23 +98,41 @@ pub fn load_completed(
     path: impl AsRef<Path>,
     plan: &Plan,
 ) -> Result<BTreeMap<usize, TaskRecord>, HarnessError> {
-    let text = std::fs::read_to_string(path)?;
-    // A whole-file parse succeeds only for an artifact or a header-only
-    // journal; a journal with entries has trailing lines and falls
-    // through to line-wise parsing.
-    if let Ok(doc) = Json::parse(&text) {
-        if doc.get("journal").and_then(Json::as_str) == Some(JOURNAL_TAG) {
-            validate_header(&doc, plan)?;
-            return Ok(BTreeMap::new());
-        }
-        if doc.get("tasks").is_some() {
-            return from_artifact(&doc, plan);
+    let journal::Contents { header, records } = journal::read(path)?;
+    if header.get("journal").and_then(Json::as_str) != Some(JOURNAL_TAG) {
+        // An artifact is one pretty-printed document: a header alone.
+        if header.get("tasks").is_some() && records.is_empty() {
+            return from_artifact(&header, plan);
         }
         return Err(reject(
             "file is neither a checkpoint journal nor a run artifact",
         ));
     }
-    from_journal(&text, plan)
+    validate_header(&header, plan)?;
+    let mut completed = BTreeMap::new();
+    for (line, node) in &records {
+        if let Some(start) = get_index(node, "run_start") {
+            // A compacted range record: entry k covers task start + k.
+            let Some(Json::Array(runs)) = node.get("entries") else {
+                return Err(reject(format!(
+                    "line {line}: range record without an `entries` array"
+                )));
+            };
+            for (offset, entry) in runs.iter().enumerate() {
+                let index = start + offset;
+                let record = record_from_node(entry, plan, index)
+                    .map_err(|why| reject(format!("line {line}: entry {offset}: {why}")))?;
+                completed.insert(index, record);
+            }
+            continue;
+        }
+        let index = get_index(node, "task")
+            .ok_or_else(|| reject(format!("line {line}: missing task index")))?;
+        let record = record_from_node(node, plan, index)
+            .map_err(|why| reject(format!("line {line}: {why}")))?;
+        completed.insert(index, record);
+    }
+    Ok(completed)
 }
 
 fn reject(reason: impl Into<String>) -> HarnessError {
@@ -191,57 +161,6 @@ fn validate_header(header: &Json, plan: &Plan) -> Result<(), HarnessError> {
         ));
     }
     Ok(())
-}
-
-fn from_journal(text: &str, plan: &Plan) -> Result<BTreeMap<usize, TaskRecord>, HarnessError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty());
-    let Some((_, header_line)) = lines.next() else {
-        return Err(reject("journal is empty"));
-    };
-    let header =
-        Json::parse(header_line).map_err(|e| reject(format!("malformed journal header: {e}")))?;
-    if header.get("journal").and_then(Json::as_str) != Some(JOURNAL_TAG) {
-        return Err(reject("first line is not a journal header"));
-    }
-    validate_header(&header, plan)?;
-
-    let entries: Vec<(usize, &str)> = lines.collect();
-    let mut completed = BTreeMap::new();
-    for (position, &(line_number, line)) in entries.iter().enumerate() {
-        let node = match Json::parse(line) {
-            Ok(node) => node,
-            // A torn final line is the normal signature of a run killed
-            // mid-append; that task simply reruns on resume.
-            Err(_) if position + 1 == entries.len() => break,
-            Err(e) => return Err(reject(format!("line {}: {e}", line_number + 1))),
-        };
-        if let Some(start) = get_usize(&node, "run_start") {
-            // A compacted range record: entry k covers task start + k.
-            let Some(Json::Array(runs)) = node.get("entries") else {
-                return Err(reject(format!(
-                    "line {}: range record without an `entries` array",
-                    line_number + 1
-                )));
-            };
-            for (offset, entry) in runs.iter().enumerate() {
-                let index = start + offset;
-                let record = record_from_node(entry, plan, index).map_err(|why| {
-                    reject(format!("line {}: entry {offset}: {why}", line_number + 1))
-                })?;
-                completed.insert(index, record);
-            }
-            continue;
-        }
-        let index = get_usize(&node, "task")
-            .ok_or_else(|| reject(format!("line {}: missing task index", line_number + 1)))?;
-        let record = record_from_node(&node, plan, index)
-            .map_err(|why| reject(format!("line {}: {why}", line_number + 1)))?;
-        completed.insert(index, record);
-    }
-    Ok(completed)
 }
 
 fn from_artifact(doc: &Json, plan: &Plan) -> Result<BTreeMap<usize, TaskRecord>, HarnessError> {
@@ -278,15 +197,20 @@ fn record_from_node(node: &Json, plan: &Plan, index: usize) -> Result<TaskRecord
         ));
     }
     let (point_index, replication) = plan.task_coordinates(index);
-    if get_usize(node, "point") != Some(point_index)
-        || get_u64(node, "replication") != Some(replication)
+    if get_index(node, "point") != Some(point_index)
+        || node.get("replication").and_then(Json::as_u64) != Some(replication)
     {
         return Err(format!(
             "grid coordinates disagree with plan (expected point {point_index}, replication {replication})"
         ));
     }
-    let seed = get_u64(node, "seed").ok_or("missing seed")?;
-    let attempts = get_u64(node, "attempts")
+    let seed = node
+        .get("seed")
+        .and_then(Json::as_u64)
+        .ok_or("missing seed")?;
+    let attempts = node
+        .get("attempts")
+        .and_then(Json::as_u64)
         .and_then(|a| u32::try_from(a).ok())
         .filter(|&a| a >= 1)
         .ok_or("missing or invalid attempt count")?;
@@ -316,15 +240,9 @@ fn record_from_node(node: &Json, plan: &Plan, index: usize) -> Result<TaskRecord
     })
 }
 
-fn get_u64(node: &Json, key: &str) -> Option<u64> {
-    match node.get(key)? {
-        Json::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
-    }
-}
-
-fn get_usize(node: &Json, key: &str) -> Option<usize> {
-    get_u64(node, key).and_then(|v| usize::try_from(v).ok())
+/// A task or point index field.
+fn get_index(node: &Json, key: &str) -> Option<usize> {
+    usize::try_from(node.get(key)?.as_u64()?).ok()
 }
 
 #[cfg(test)]
@@ -416,7 +334,7 @@ mod tests {
     fn header_only_journal_restores_nothing() {
         let p = plan();
         let path = temp_path("header-only");
-        Journal::create(&path, &p).unwrap();
+        create(&path, &p, &BTreeMap::new()).unwrap();
         assert!(load_completed(&path, &p).unwrap().is_empty());
         std::fs::remove_file(&path).ok();
     }
@@ -487,24 +405,30 @@ mod tests {
         std::fs::remove_file(&second).ok();
     }
 
+    /// The completed records of a fault-free run, keyed by task index.
+    fn completed(p: &Plan) -> BTreeMap<usize, TaskRecord> {
+        let report = run_plan_resilient(p, &RunConfig::new(1), task).unwrap();
+        report
+            .outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(index, outcome)| (index, outcome.record().unwrap().clone()))
+            .collect()
+    }
+
     #[test]
     fn torn_trailing_range_record_is_dropped_interior_is_fatal() {
         let p = plan();
         let path = temp_path("torn-range");
-        let mut journal = Journal::create(&path, &p).unwrap();
-        let report = run_plan_resilient(&p, &RunConfig::new(1), task).unwrap();
-        let records: Vec<&TaskRecord> = report
-            .outcomes
-            .iter()
-            .map(|o| o.record().unwrap())
-            .collect();
-        journal.append_run(0, &records[0..2]).unwrap();
-        journal.append_run(2, &records[2..4]).unwrap();
-        drop(journal);
+        // Tasks {0, 1} and {3, 4}: two range records.
+        let mut records = completed(&p);
+        records.retain(|&index, _| index != 2 && index != 5);
+        drop(create(&path, &p, &records).unwrap());
 
         let full = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(full.lines().count(), 3, "{full}");
         let torn: String =
-            full.trim_end().rsplit_once('\n').unwrap().0.to_owned() + "\n{\"run_start\":2,\"ent";
+            full.trim_end().rsplit_once('\n').unwrap().0.to_owned() + "\n{\"run_start\":3,\"ent";
         std::fs::write(&path, &torn).unwrap();
         let restored = load_completed(&path, &p).unwrap();
         assert_eq!(restored.len(), 2); // only the first range survives
@@ -522,19 +446,32 @@ mod tests {
     fn range_records_validate_seeds_per_entry() {
         let p = plan();
         let path = temp_path("range-seed");
-        let mut journal = Journal::create(&path, &p).unwrap();
-        let report = run_plan_resilient(&p, &RunConfig::new(1), task).unwrap();
-        let records: Vec<&TaskRecord> = report
-            .outcomes
-            .iter()
-            .map(|o| o.record().unwrap())
-            .collect();
         // Write the run shifted by one: every entry's grid coordinates
         // and seed disagree with the index implied by its position.
-        journal.append_run(1, &records[0..3]).unwrap();
-        drop(journal);
+        let shifted: BTreeMap<usize, TaskRecord> = completed(&p)
+            .into_iter()
+            .take(3)
+            .map(|(index, record)| (index + 1, record))
+            .collect();
+        drop(create(&path, &p, &shifted).unwrap());
         let err = load_completed(&path, &p).unwrap_err();
         assert!(matches!(err, HarnessError::Checkpoint { .. }), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn interior_blank_line_is_corruption() {
+        let p = plan();
+        let path = temp_path("blank");
+        run_plan_resilient(&p, &RunConfig::new(1).checkpoint(&path), task).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (head, tail) = text.split_at(text.find('\n').unwrap() + 1);
+        std::fs::write(&path, format!("{head}\n{tail}")).unwrap();
+        let err = load_completed(&path, &p).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+        // A trailing blank line is a torn last line: nothing is lost.
+        std::fs::write(&path, format!("{text}\n")).unwrap();
+        assert_eq!(load_completed(&path, &p).unwrap().len(), p.n_tasks());
         std::fs::remove_file(&path).ok();
     }
 

@@ -37,7 +37,7 @@ pub enum HarnessError {
         /// What was wrong.
         reason: String,
     },
-    /// An artifact could not be read or written.
+    /// An artifact or journal could not be read or written.
     Io(std::io::Error),
 }
 
@@ -57,7 +57,7 @@ impl fmt::Display for HarnessError {
             HarnessError::Json { offset, reason } => {
                 write!(f, "malformed JSON at byte {offset}: {reason}")
             }
-            HarnessError::Io(e) => write!(f, "artifact I/O failed: {e}"),
+            HarnessError::Io(e) => write!(f, "I/O failed: {e}"),
         }
     }
 }

@@ -89,6 +89,15 @@ impl Json {
         }
     }
 
+    /// The node's value as a `u64`, if it is an integer in range.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            _ => None,
+        }
+    }
+
     /// The node's string value, if it is one.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -114,19 +123,6 @@ impl Json {
         let mut out = String::new();
         self.write_compact(&mut out);
         out
-    }
-
-    /// Writes the compact form and its newline as one JSONL line with a
-    /// single `write_all`: on an unbuffered `File` that is one `write`
-    /// call, where `writeln!` makes two (the body, then `"\n"`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the writer's failure.
-    pub fn write_line(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
-        let mut line = self.render_compact();
-        line.push('\n');
-        out.write_all(line.as_bytes())
     }
 
     fn write_compact(&self, out: &mut String) {
@@ -492,6 +488,16 @@ mod tests {
         assert!(!compact.contains('\n'), "compact form must be one line");
         assert_eq!(Json::parse(&compact).unwrap(), doc);
         assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
+    }
+
+    #[test]
+    fn as_u64_accepts_only_in_range_integers() {
+        assert_eq!(Json::Int(0).as_u64(), Some(0));
+        assert_eq!(Json::Int(i128::from(u64::MAX)).as_u64(), Some(u64::MAX));
+        assert_eq!(Json::Int(i128::from(u64::MAX) + 1).as_u64(), None);
+        assert_eq!(Json::Int(-1).as_u64(), None);
+        assert_eq!(Json::Float(1.0).as_u64(), None);
+        assert_eq!(Json::Str("1".to_owned()).as_u64(), None);
     }
 
     #[test]

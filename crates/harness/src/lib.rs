@@ -22,9 +22,13 @@
 //! * [`solve`] — the typed solve-phase pipeline: a [`SolvePlan`] runs one
 //!   solver task per sweep point on the same pool, returning typed records
 //!   in plan order, bit-identical to serial at any worker count;
-//! * [`checkpoint`] — the JSONL journal of completed tasks behind
-//!   `--checkpoint` / `--resume`, with range-record compaction of
-//!   carried-forward tasks on resume;
+//! * [`journal`] — the JSONL checkpoint journal behind every resumable
+//!   run, this crate's and `dpm-serve`'s: line-atomic appends, reads that
+//!   tolerate only a torn last line, and the contiguous runs that compact
+//!   carried-forward records on resume;
+//! * [`checkpoint`] — the runner's journal records: one per completed
+//!   task behind `--checkpoint` / `--resume`, validated against the plan,
+//!   with range records for carried-forward tasks;
 //! * [`artifact`] — versioned JSON artifacts (`schema_version`,
 //!   provenance, per-task telemetry) plus a tolerance-aware [`artifact::diff`]
 //!   for regression checking;
@@ -59,6 +63,7 @@ pub mod artifact;
 pub mod checkpoint;
 pub mod cli;
 mod error;
+pub mod journal;
 pub mod json;
 pub mod plan;
 pub mod pool;

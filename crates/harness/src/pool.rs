@@ -115,15 +115,16 @@ where
         .collect()
 }
 
-/// Converts a caught panic payload into a human-readable message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
+/// Renders a caught panic payload as a message: the payload itself when
+/// it is a string (as `panic!` with a message makes it).
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        (*message).to_owned()
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message.clone()
     } else {
-        match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(_) => "task panicked (non-string payload)".to_owned(),
-        }
+        "panicked with a non-string payload".to_owned()
     }
 }
 
@@ -140,7 +141,8 @@ where
     F: Fn(usize) -> T + Sync,
 {
     run(n_tasks, workers, |index| {
-        catch_unwind(AssertUnwindSafe(|| task(index))).map_err(panic_message)
+        catch_unwind(AssertUnwindSafe(|| task(index)))
+            .map_err(|payload| panic_message(payload.as_ref()))
     })
 }
 
@@ -249,6 +251,10 @@ mod tests {
         });
         assert_eq!(out[0], Ok(0));
         assert!(out[1].as_ref().unwrap_err().contains("panicked"));
+        assert_eq!(
+            out[1].as_ref().unwrap_err(),
+            "panicked with a non-string payload"
+        );
     }
 
     #[test]

@@ -22,7 +22,6 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Mutex;
 // dpm-lint: allow(nondeterminism, reason = "per-task wall_secs is a wall-clock measurement; the artifact diff ignores it alongside the timers subtree")
 use std::time::Instant;
 
@@ -377,7 +376,7 @@ where
             }
             task(&ctx)
         }))
-        .unwrap_or_else(|payload| Err(pool::panic_message(payload)));
+        .unwrap_or_else(|payload| Err(pool::panic_message(payload.as_ref())));
         let wall_secs = start.elapsed().as_secs_f64();
         match outcome {
             Ok(result) => {
@@ -442,29 +441,11 @@ where
     };
 
     let journal = match &config.checkpoint {
-        Some(path) => {
-            let mut journal = checkpoint::Journal::create(path, plan)?;
-            // Restored tasks are part of this run's completed set; carry
-            // them forward so the new journal is self-contained. Each
-            // maximal contiguous index run compacts into one range
-            // record — one write and flush per gap, not per task.
-            let mut entries = restored.iter().peekable();
-            while let Some((&start, first)) = entries.next() {
-                let mut batch = vec![first];
-                while let Some(&(&index, record)) = entries.peek() {
-                    if index != start + batch.len() {
-                        break;
-                    }
-                    batch.push(record);
-                    entries.next();
-                }
-                journal.append_run(start, &batch)?;
-            }
-            Some(Mutex::new(journal))
-        }
+        // Restored tasks are part of this run's completed set; carrying
+        // them forward keeps the new journal self-contained.
+        Some(path) => Some(checkpoint::create(path, plan, &restored)?),
         None => None,
     };
-    let journal_error: Mutex<Option<HarnessError>> = Mutex::new(None);
 
     let pending: Vec<usize> = (0..plan.n_tasks())
         .filter(|index| !restored.contains_key(index))
@@ -474,28 +455,15 @@ where
         let index = pending[slot];
         let outcome = execute_task(plan, config, &task, index);
         if let (Some(journal), TaskOutcome::Ok(record)) = (&journal, &outcome) {
-            let appended = journal
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .append(index, record);
-            if let Err(error) = appended {
-                journal_error
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .get_or_insert(error);
-            }
+            journal.append(&checkpoint::entry(index, record))?;
         }
-        outcome
+        Ok(outcome)
     });
-    if let Some(error) = journal_error
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .take()
-    {
-        // A checkpoint was explicitly requested; a silently broken
-        // journal would defeat its purpose.
-        return Err(error);
-    }
+    // A checkpoint was explicitly requested; a silently broken journal
+    // would defeat its purpose, so the first failed append fails the run.
+    let computed = computed
+        .into_iter()
+        .collect::<Result<Vec<TaskOutcome>, HarnessError>>()?;
 
     let resumed = restored.len();
     let mut restored = restored;

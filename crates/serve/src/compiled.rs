@@ -279,12 +279,13 @@ impl CompiledPolicy {
 }
 
 fn get_usize(doc: &Json, key: &str) -> Result<usize, ServeError> {
-    match doc.get(key) {
-        Some(&Json::Int(v)) if v >= 0 && v <= usize::MAX as i128 => Ok(v as usize),
-        other => Err(ServeError::Format {
-            reason: format!("{key}: expected a non-negative integer, got {other:?}"),
-        }),
-    }
+    let field = doc.get(key);
+    field
+        .and_then(Json::as_u64)
+        .and_then(|v| usize::try_from(v).ok())
+        .ok_or_else(|| ServeError::Format {
+            reason: format!("{key}: expected a non-negative integer, got {field:?}"),
+        })
 }
 
 fn get_strings(doc: &Json, key: &str) -> Result<Vec<String>, ServeError> {
@@ -312,11 +313,12 @@ fn get_indices(doc: &Json, key: &str) -> Result<Vec<usize>, ServeError> {
     };
     items
         .iter()
-        .map(|item| match item {
-            &Json::Int(v) if v >= 0 && v <= usize::MAX as i128 => Ok(v as usize),
-            other => Err(ServeError::Format {
-                reason: format!("{key}: expected a non-negative integer, got {other:?}"),
-            }),
+        .map(|item| {
+            item.as_u64()
+                .and_then(|v| usize::try_from(v).ok())
+                .ok_or_else(|| ServeError::Format {
+                    reason: format!("{key}: expected a non-negative integer, got {item:?}"),
+                })
         })
         .collect()
 }
@@ -329,11 +331,13 @@ fn get_actions(doc: &Json, key: &str, n_modes: usize) -> Result<Vec<u8>, ServeEr
     };
     items
         .iter()
-        .map(|item| match item {
-            &Json::Int(v) if v >= 0 && (v as usize) < n_modes => Ok(v as u8),
-            other => Err(ServeError::Format {
-                reason: format!("{key}: action out of range for {n_modes} modes: {other:?}"),
-            }),
+        .map(|item| {
+            item.as_u64()
+                .filter(|&v| v < n_modes as u64)
+                .and_then(|v| u8::try_from(v).ok())
+                .ok_or_else(|| ServeError::Format {
+                    reason: format!("{key}: action out of range for {n_modes} modes: {item:?}"),
+                })
         })
         .collect()
 }
@@ -511,6 +515,15 @@ mod tests {
             Json::Array(vec![Json::Int(200); compiled.capacity()]),
         );
         assert!(CompiledPolicy::from_json(&bad_action).is_err());
+        // An action past u64::MAX must not wrap into range.
+        let mut wrapped = compiled.to_json();
+        let Some(Json::Array(actions)) = wrapped.get("stable_actions") else {
+            panic!("compiled artifact has no stable actions");
+        };
+        let mut actions = actions.clone();
+        actions[0] = Json::Int((1_i128 << 64) + 1);
+        wrapped.set("stable_actions", Json::Array(actions));
+        assert!(CompiledPolicy::from_json(&wrapped).is_err());
     }
 
     #[test]

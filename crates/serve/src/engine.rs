@@ -48,15 +48,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread;
 
 use dpm_core::{PmSystem, SpModel};
-use dpm_harness::{seed::derive_serve_attempt_seed, Json};
+use dpm_harness::{journal::Journal, pool::panic_message, seed::derive_serve_attempt_seed, Json};
 use dpm_sim::workload::PoissonWorkload;
 use dpm_sim::{MergedReport, SimConfig, SimError, SimReport, SimRun, Simulator};
 
-use crate::journal::{self, FleetJournal, Restored};
+use crate::checkpoint::{self, Restored};
 use crate::supervise::SwapEntry;
 use crate::{
     CompiledController, CompiledPolicy, ConfigError, ErrorClass, RetryPolicy, ServeError,
@@ -472,7 +472,7 @@ pub fn serve(
     validate_config(config)?;
     let (schedule, swap_results) = validate_swaps(system, &config.swaps);
     let restored = match &config.resume {
-        Some(path) => journal::load_fleet(
+        Some(path) => checkpoint::load(
             path,
             config.root_seed,
             config.systems,
@@ -481,16 +481,12 @@ pub fn serve(
         None => vec![Restored::Fresh; config.systems],
     };
     let journal = match &config.checkpoint {
-        Some(path) => {
-            let mut fleet_journal = FleetJournal::create(
-                path,
-                config.root_seed,
-                config.systems,
-                config.requests_per_system,
-            )?;
-            write_carried_forward(&mut fleet_journal, &restored, config.root_seed)?;
-            Some(Mutex::new(fleet_journal))
-        }
+        Some(path) => Some(checkpoint::create(
+            path,
+            config.root_seed,
+            config.requests_per_system,
+            &restored,
+        )?),
         None => None,
     };
 
@@ -550,42 +546,6 @@ pub fn serve(
     })
 }
 
-/// Seeds a fresh journal with everything the resume journal already
-/// settled — contiguous settled systems compact to one range record —
-/// plus one epoch per in-flight system carrying its attempt counters
-/// forward, so a second kill before that system retries or settles still
-/// resumes it correctly.
-fn write_carried_forward(
-    journal: &mut FleetJournal,
-    restored: &[Restored],
-    root_seed: u64,
-) -> Result<(), ServeError> {
-    let mut i = 0;
-    while i < restored.len() {
-        match restored.get(i) {
-            Some(Restored::Settled(_)) => {
-                let start = i;
-                let mut run = Vec::new();
-                while let Some(Restored::Settled(record)) = restored.get(i) {
-                    run.push(record);
-                    i += 1;
-                }
-                journal.settled_run(start, &run)?;
-            }
-            Some(Restored::InFlight {
-                attempts,
-                seed_attempt,
-            }) => {
-                let seed = derive_serve_attempt_seed(root_seed, i as u64, *seed_attempt);
-                journal.epoch(i, *attempts, *seed_attempt, seed)?;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    Ok(())
-}
-
 /// Everything a shard needs to build, supervise and journal its systems.
 struct ShardCtx<'a> {
     system: &'a PmSystem,
@@ -594,7 +554,7 @@ struct ShardCtx<'a> {
     initial: &'a Arc<CompiledPolicy>,
     schedule: &'a [(u64, Arc<CompiledPolicy>)],
     config: &'a ServeConfig,
-    journal: Option<&'a Mutex<FleetJournal>>,
+    journal: Option<&'a Journal>,
     lambda: f64,
 }
 
@@ -635,15 +595,10 @@ impl Slot {
 }
 
 impl ShardCtx<'_> {
-    fn with_journal<F>(&self, write: F) -> Result<(), ServeError>
-    where
-        F: FnOnce(&mut FleetJournal) -> Result<(), ServeError>,
-    {
+    /// Appends `record()` to the fleet's journal, if it keeps one.
+    fn append(&self, record: impl FnOnce() -> Json) -> Result<(), ServeError> {
         match self.journal {
-            Some(mutex) => {
-                let mut guard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
-                write(&mut guard)
-            }
+            Some(journal) => journal.append(&record()).map_err(checkpoint::journal_err),
             None => Ok(()),
         }
     }
@@ -694,7 +649,7 @@ impl ShardCtx<'_> {
             seed_attempt: slot.seed_attempt,
             status: SystemStatus::Quarantined { class, error },
         };
-        self.with_journal(|j| j.settled(&record))?;
+        self.append(|| checkpoint::settled(&record))?;
         slot.record = Some(record);
         Ok(())
     }
@@ -720,8 +675,8 @@ impl ShardCtx<'_> {
                 slot.run = Some(run);
                 // Persist the retry decision immediately: a kill right
                 // after this line resumes into the same attempt counters.
-                self.with_journal(|j| {
-                    j.epoch(slot.system, slot.attempts, slot.seed_attempt, slot.seed)
+                self.append(|| {
+                    checkpoint::epoch(slot.system, slot.attempts, slot.seed_attempt, slot.seed)
                 })
             }
             Err((class, message)) => self.quarantine(slot, class, message),
@@ -804,7 +759,7 @@ fn run_shard(
                             seed_attempt: slot.seed_attempt,
                             status: SystemStatus::Served(run.into_report()),
                         };
-                        ctx.with_journal(|j| j.settled(&record))?;
+                        ctx.append(|| checkpoint::settled(&record))?;
                         slot.record = Some(record);
                     }
                 }
@@ -893,17 +848,6 @@ fn step_batch(
         }
     }
     Ok(!run.is_finished())
-}
-
-/// Renders a caught panic payload for the quarantine record.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = payload.downcast_ref::<&str>() {
-        (*message).to_owned()
-    } else if let Some(message) = payload.downcast_ref::<String>() {
-        message.clone()
-    } else {
-        "panic with a non-string payload".to_owned()
-    }
 }
 
 /// Folds one report into the running FNV-1a fleet fingerprint: every

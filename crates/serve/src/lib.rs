@@ -18,7 +18,9 @@
 //!   with per-class retry budgets and logical backoff ([`RetryPolicy`]),
 //!   per-system panic isolation, a JSONL fleet checkpoint journal
 //!   (`ServeConfig::checkpoint` / `ServeConfig::resume`) whose replay-based
-//!   restore makes kill-at-any-point + resume bit-identical, hot policy
+//!   restore makes kill-at-any-point + resume bit-identical — written and
+//!   read through `dpm_harness::journal`, the plan runner's journal, with
+//!   only the fleet's record codec kept here — hot policy
 //!   swaps at deterministic event barriers ([`SwapPlan`]), and graceful
 //!   degradation: budget-exhausted systems are quarantined while the rest
 //!   of the fleet's results stay untouched ([`SystemRecord`]).
@@ -67,10 +69,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod checkpoint;
 mod compiled;
 mod engine;
 mod error;
-mod journal;
 mod supervise;
 
 pub use compiled::{CompiledController, CompiledPolicy, COMPILED_POLICY_FORMAT};

@@ -680,3 +680,95 @@ fn journals_with_progress_epochs_resume_bit_identically() {
     std::fs::remove_file(&full_journal).ok();
     std::fs::remove_file(&progress_journal).ok();
 }
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The CI chaos fleet (`scripts/ci.sh`, `bench_serve` in supervised
+/// mode) on one shard, so its journal's line order is deterministic: the
+/// optimal policy, panics on systems 3 and 5, an engine error on every
+/// attempt of system 7, three attempts per class.
+fn chaos_fleet() -> (PmSystem, CompiledPolicy, ServeConfig) {
+    let system = system();
+    let solution = dpm_core::optimize::optimal_policy(&system, 1.0).unwrap();
+    let policy = CompiledPolicy::compile(&system, solution.policy()).unwrap();
+    let config = ServeConfig::new(99)
+        .systems(16)
+        .requests_per_system(200_000)
+        .shards(1)
+        .faults(
+            ServeFaultPlan::new()
+                .panic_at(3, 400, 1)
+                .panic_at(5, 250, 2)
+                .error_at(7, 300, u32::MAX),
+        )
+        .retry(RetryPolicy::new().panic_attempts(3).engine_attempts(3));
+    (system, policy, config)
+}
+
+/// Digests of the chaos fleet's 1-shard journal, fresh and rewritten by
+/// a run resumed from a prefix that leaves two systems mid-retry (so the
+/// rewrite carries `settled_run` records and epochs forward). Recorded
+/// before the journal code was shared with the plan runner; a change
+/// here is a change of the on-disk format.
+#[test]
+fn chaos_journal_bytes_match_the_golden_digests() {
+    let (system, policy, config) = chaos_fleet();
+    let fresh = scratch("golden-fresh.jsonl");
+    serve(&system, &policy, &config.clone().checkpoint(&fresh)).unwrap();
+    let text = std::fs::read_to_string(&fresh).unwrap();
+    assert_eq!(
+        text.lines().count(),
+        22,
+        "header, 5 retries, 16 settlements"
+    );
+    assert_eq!(
+        format!("{:016x}", fnv1a(text.as_bytes())),
+        "52f26fe461685ec4",
+        "fresh journal"
+    );
+
+    let lines: Vec<&str> = text.lines().collect();
+    let in_flight = |keep: usize| {
+        lines[1..=keep]
+            .iter()
+            .filter(|line| line.contains("\"kind\":\"epoch\""))
+            .filter(|line| {
+                let record = Json::parse(line).unwrap();
+                !lines[1..=keep].iter().any(|other| {
+                    let other = Json::parse(other).unwrap();
+                    kind(&other) != "epoch" && field(&other, "system") == field(&record, "system")
+                })
+            })
+            .count()
+    };
+    // The longest prefix that still leaves a retried system in flight
+    // and has settled at least two systems.
+    let keep = (1..lines.len())
+        .rev()
+        .find(|&keep| in_flight(keep) > 0 && keep >= 7)
+        .unwrap();
+    let cut = scratch("golden-cut.jsonl");
+    std::fs::write(&cut, lines[..=keep].join("\n") + "\n").unwrap();
+    let resumed = scratch("golden-resumed.jsonl");
+    serve(
+        &system,
+        &policy,
+        &config.clone().resume(&cut).checkpoint(&resumed),
+    )
+    .unwrap();
+    let text = std::fs::read_to_string(&resumed).unwrap();
+    assert!(text.contains("\"kind\":\"settled_run\""), "{text}");
+    assert_eq!(
+        format!("{:016x}", fnv1a(text.as_bytes())),
+        "8bd331b42031185b",
+        "resumed journal"
+    );
+    for path in [fresh, cut, resumed] {
+        std::fs::remove_file(path).ok();
+    }
+}

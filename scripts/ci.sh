@@ -154,6 +154,14 @@ head -n 7 "$SMOKE_DIR/journal.jsonl" > "$SMOKE_DIR/partial.jsonl"
 ./target/release/heuristics --workers 2 --requests 500 --seed 7 \
     --resume "$SMOKE_DIR/partial.jsonl" --out "$SMOKE_DIR/resumed.json" > /dev/null
 ./target/release/artifact_diff --a "$SMOKE_DIR/w1.json" --b "$SMOKE_DIR/resumed.json"
+# Simulate a kill mid-append: the same 7 lines plus half of line 8. The
+# torn line is dropped and its task reruns.
+LINE8="$(sed -n 8p "$SMOKE_DIR/journal.jsonl")"
+{ cat "$SMOKE_DIR/partial.jsonl"; printf '%s' "${LINE8:0:$((${#LINE8} / 2))}"; } \
+    > "$SMOKE_DIR/torn.jsonl"
+./target/release/heuristics --workers 2 --requests 500 --seed 7 \
+    --resume "$SMOKE_DIR/torn.jsonl" --out "$SMOKE_DIR/resumed_torn.json" > /dev/null
+./target/release/artifact_diff --a "$SMOKE_DIR/w1.json" --b "$SMOKE_DIR/resumed_torn.json"
 
 echo "=== serve chaos smoke (mid-run SIGKILL, resume, tol-0 diff vs uninterrupted) ==="
 SERVE_CHAOS=(--systems 16 --requests 200000 --seed 99
