@@ -1,13 +1,13 @@
-//! Criterion benchmark: solve-phase kernels (PR 5 companion).
+//! Criterion benchmark: one policy-improvement sweep.
 //!
-//! Measures a single policy-improvement sweep — the nested-list reference
-//! against the flattened [`dpm_mdp::ActionCsr`] kernel — and a full policy
-//! iteration under each evaluation backend.
+//! Times [`dpm_mdp::average::improve`], the two-stage rule that
+//! `policy_iteration_multichain` runs each round, over the flattened
+//! [`dpm_mdp::ActionCsr`] kernel of the paper's model at growing queue
+//! capacity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dpm_bench::unichain_ring;
 use dpm_core::{PmSystem, SpModel, SrModel};
-use dpm_mdp::{average, Policy};
+use dpm_mdp::average;
 
 fn system(capacity: usize) -> PmSystem {
     PmSystem::builder()
@@ -25,51 +25,25 @@ fn bench_improvement(c: &mut Criterion) {
         let sys = system(capacity);
         let mdp = sys.ctmdp(1.0).expect("valid weight");
         let kernel = mdp.sparse_actions();
-        let initial = mdp.min_cost_policy();
-        // A converged bias gives the sweep realistic inputs.
+        // A converged evaluation gives the sweep realistic inputs.
         let solution = average::policy_iteration_multichain(
             &mdp,
-            initial.clone(),
+            mdp.min_cost_policy(),
             &average::Options::default(),
         )
         .expect("solvable");
-        let policy = solution.policy().clone();
-        let bias = solution.bias().clone();
         let tolerance = average::Options::default().improvement_tolerance;
-
-        group.bench_with_input(
-            BenchmarkId::new("nested_lists", capacity),
-            &capacity,
-            |b, _| {
-                b.iter(|| average::improve_step(&mdp, &policy, &bias, tolerance));
-            },
-        );
         group.bench_with_input(BenchmarkId::new("csr", capacity), &capacity, |b, _| {
-            b.iter(|| average::improve_step_csr(&kernel, &policy, &bias, tolerance));
-        });
-    }
-    group.finish();
-}
-
-fn bench_eval_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("eval_backend");
-    // Unichain policy iteration is the one that dispatches on
-    // `Options::backend`. It runs on the ring `bench_solve` uses: on the
-    // paper's model the Krylov backend stops with NotConverged.
-    for n_states in [40usize, 100] {
-        let mdp = unichain_ring(n_states).expect("valid ring");
-        let start = Policy::uniform(n_states, 1);
-        for name in ["dense", "sparse-direct", "bicgstab"] {
-            let options = average::Options {
-                backend: average::EvalBackend::parse(name).expect("backend name"),
-                ..average::Options::default()
-            };
-            group.bench_with_input(BenchmarkId::new(name, n_states), &n_states, |b, _| {
-                b.iter(|| {
-                    average::policy_iteration_from(&mdp, start.clone(), &options).expect("solvable")
-                });
+            b.iter(|| {
+                average::improve(
+                    &kernel,
+                    solution.policy(),
+                    solution.gains(),
+                    solution.bias(),
+                    tolerance,
+                )
             });
-        }
+        });
     }
     group.finish();
 }
@@ -77,6 +51,6 @@ fn bench_eval_backends(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_improvement, bench_eval_backends
+    targets = bench_improvement
 }
 criterion_main!(benches);

@@ -1,47 +1,37 @@
 //! Canonical solve-phase benchmark: kernel-level and end-to-end timings
 //! into `BENCH_solve.json`.
 //!
-//! Four measurement groups, each with a correctness check riding along:
+//! Three measurement groups, each with a correctness check riding along:
 //!
-//! 1. **Improvement kernels** at queue capacity `--capacity` (default
-//!    100): a materialized dense per-action row scan (the
-//!    `O(|S|·|A|·|S|)` baseline), the nested-list reference
-//!    [`average::improve_step`], and the CSR kernel
-//!    [`average::improve_step_csr`] — all three must pick identical
-//!    policies.
-//! 2. **Evaluation backends** on a synthetic unichain ring: policy
-//!    iteration under `Dense` and `SparseDirect` must converge to the
-//!    same policy and gain (≤ 1e-10), with per-backend wall time
-//!    recorded. A third, flag-configured backend rides along: `--method`
-//!    / `--tol` / `--precond` / `--restart` map 1:1 onto
-//!    [`dpm_ctmc::stationary::SolverConfig`] via
-//!    [`average::EvalBackend::parse`] + `with_config`, and must agree
-//!    with the dense reference to the Krylov bound (≤ 1e-8).
-//! 3. **Solve-phase pipeline**: a weight sweep as a
+//! 1. **Improvement sweep** at queue capacity `--capacity` (default 100):
+//!    [`average::improve`], the two-stage rule policy iteration runs,
+//!    timed at the converged policy, where it must be a fixpoint.
+//! 2. **Solve-phase pipeline**: a weight sweep as a
 //!    [`dpm_harness::solve::SolvePlan`] at 1 worker versus
 //!    `--solve-workers`, checked bit-identical.
-//! 4. **Stationary solver tiers**: sparse direct (`SparseLu`) versus the
+//! 3. **Stationary solver tiers**: sparse direct (`SparseLu`) versus the
 //!    preconditioned Krylov methods (BiCGSTAB / GMRES + ILU(0)) on
 //!    synthetic sparse birth–death chains up to `--tier-states` (default
 //!    100 000) states, recording the direct↔Krylov crossover. The direct
 //!    solve is skipped beyond `--tier-direct-limit` (default 10 000),
 //!    where the dense normalization row makes its elimination
-//!    superlinear. All tiers must agree pairwise to ≤ 1e-8.
+//!    superlinear. `--tol` / `--precond` / `--restart` map 1:1 onto
+//!    [`dpm_ctmc::stationary::SolverConfig`]. All tiers must agree
+//!    pairwise to ≤ 1e-8.
 //!
 //! Deterministic fields (`params`, `checks`) are canonical; wall-clock
 //! numbers live under the `timers` key, which the artifact diff strips.
-//! On a single-core CI host the speedups are *recorded*, not asserted —
-//! the kernel-level gains are algorithmic, the pipeline gain is not.
+//! On a single-core CI host the speedups are *recorded*, not asserted.
 //!
 //! ```text
 //! cargo run --release -p dpm-bench --bin bench_solve -- \
 //!     [--capacity Q] [--rounds R] [--solve-workers N] \
-//!     [--method NAME] [--tol T] [--precond NAME] [--restart M] \
+//!     [--tol T] [--precond NAME] [--restart M] \
 //!     [--tier-states N] [--tier-direct-limit N] [--seed S] \
 //!     [--out results/BENCH_solve.json]
 //! ```
 
-use dpm_bench::{row, rule, time_sweeps, timed, unichain_ring};
+use dpm_bench::{row, rule, time_sweeps, timed};
 use dpm_core::{optimize, PmSystem, SpModel, SrModel};
 use dpm_ctmc::{
     stationary::{self, Method},
@@ -52,7 +42,7 @@ use dpm_harness::{
     cli::{self, Args},
     solve, Json, PlanPoint, SolvePlan,
 };
-use dpm_mdp::{average, Ctmdp, Policy};
+use dpm_mdp::{average, Ctmdp};
 
 /// The paper's server model at an enlarged queue capacity.
 fn paper_mdp(capacity: usize, weight: f64) -> Result<Ctmdp, Box<dyn std::error::Error>> {
@@ -62,79 +52,6 @@ fn paper_mdp(capacity: usize, weight: f64) -> Result<Ctmdp, Box<dyn std::error::
         .capacity(capacity)
         .build()?;
     Ok(system.ctmdp(weight)?)
-}
-
-/// Per-action rows of a CTMDP materialized as full dense vectors — the
-/// `O(|S|·|A|·|S|)` improvement baseline the CSR kernel is measured
-/// against. Materialization happens outside the timed region.
-struct DenseActions {
-    n_states: usize,
-    sa_ptr: Vec<usize>,
-    cost: Vec<f64>,
-    /// Flattened rows, `n_states` entries per state–action pair.
-    rows: Vec<f64>,
-}
-
-impl DenseActions {
-    fn from_ctmdp(mdp: &Ctmdp) -> DenseActions {
-        let n = mdp.n_states();
-        let mut sa_ptr = vec![0usize];
-        let mut cost = Vec::new();
-        let mut rows = Vec::new();
-        for state in 0..n {
-            for spec in mdp.actions(state) {
-                cost.push(spec.cost_rate());
-                let mut dense = vec![0.0; n];
-                for &(to, rate) in spec.rates() {
-                    dense[to] = rate;
-                }
-                rows.extend_from_slice(&dense);
-            }
-            sa_ptr.push(cost.len());
-        }
-        DenseActions {
-            n_states: n,
-            sa_ptr,
-            cost,
-            rows,
-        }
-    }
-
-    fn test_quantity(&self, state: usize, action: usize, bias: &[f64]) -> f64 {
-        let sa = self.sa_ptr[state] + action;
-        let row = &self.rows[sa * self.n_states..(sa + 1) * self.n_states];
-        let here = bias[state];
-        let mut q = self.cost[sa];
-        for (j, &rate) in row.iter().enumerate() {
-            q += rate * (bias[j] - here);
-        }
-        q
-    }
-
-    /// The reference improvement sweep over dense-materialized rows —
-    /// identical decision rule, `O(|S|·|A|·|S|)` arithmetic.
-    fn improve_step(&self, policy: &Policy, bias: &[f64], tolerance: f64) -> Policy {
-        let mut next = policy.clone();
-        for state in 0..self.n_states {
-            let incumbent = policy.action(state);
-            let mut best_action = incumbent;
-            let mut best_q = self.test_quantity(state, incumbent, bias);
-            for action in 0..self.sa_ptr[state + 1] - self.sa_ptr[state] {
-                if action == incumbent {
-                    continue;
-                }
-                let q = self.test_quantity(state, action, bias);
-                if q < best_q - tolerance {
-                    best_q = q;
-                    best_action = action;
-                }
-            }
-            if best_action != incumbent {
-                next = next.with_action(state, best_action);
-            }
-        }
-        next
-    }
 }
 
 /// A sparse birth–death chain with smoothly varying rates: stiff enough
@@ -158,7 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "capacity",
         "rounds",
         "solve-workers",
-        "method",
         "tol",
         "precond",
         "restart",
@@ -173,9 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root_seed = args.get_u64("seed", 1300)?;
     let out = args.get_str("out", "results/BENCH_solve.json");
 
-    // Solver-configuration flags: one SolverConfig drives both the
-    // flag-selected evaluation backend and the Krylov stationary tiers.
-    let method_flag = args.get_str("method", "bicgstab");
+    // Solver-configuration flags for the Krylov stationary tiers.
     let precond_flag = args.get_str("precond", "ilu0");
     let solver_config = stationary::SolverConfig {
         tolerance: args.get_f64("tol", stationary::DEFAULT_TOLERANCE)?,
@@ -184,78 +98,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .ok_or_else(|| format!("--precond {precond_flag}: expected `ilu0` or `none`"))?,
         ..stationary::SolverConfig::default()
     };
-    let cli_backend = average::EvalBackend::parse(&method_flag)
-        .ok_or_else(|| format!("--method {method_flag}: not an evaluation backend name"))?
-        .with_config(solver_config);
 
     // ------------------------------------------------------------------
-    // 1. Improvement kernels at Q = capacity.
+    // 1. Improvement sweep at Q = capacity.
     // ------------------------------------------------------------------
     let mdp = paper_mdp(capacity, 1.0)?;
     let n = mdp.n_states();
     let kernel = mdp.sparse_actions();
-    let dense = DenseActions::from_ctmdp(&mdp);
-    // A real bias vector: converge policy iteration once and reuse its
-    // bias and policy for every timed sweep.
+    // Real gains and bias: converge policy iteration once and reuse its
+    // evaluation and policy for every timed sweep.
     let initial = mdp.min_cost_policy();
     let solved = average::policy_iteration_multichain(&mdp, initial, &average::Options::default())?;
-    let bias = solved.bias().clone();
     let policy = solved.policy().clone();
     let tol = average::Options::default().improvement_tolerance;
-
-    let (from_dense, dense_secs) =
-        time_sweeps(rounds, || dense.improve_step(&policy, bias.as_slice(), tol));
-    let (from_reference, reference_secs) =
-        time_sweeps(rounds, || average::improve_step(&mdp, &policy, &bias, tol));
-    let (from_csr, csr_secs) = time_sweeps(rounds, || {
-        average::improve_step_csr(&kernel, &policy, &bias, tol)
+    let (improved, improve_secs) = time_sweeps(rounds, || {
+        average::improve(&kernel, &policy, solved.gains(), solved.bias(), tol)
     });
-    let improvement_agrees = from_dense == from_reference && from_reference == from_csr;
     // At a converged policy the improvement sweep must be a fixpoint.
-    let improvement_fixpoint = from_csr == policy;
+    let improvement_fixpoint = improved == policy;
 
     // ------------------------------------------------------------------
-    // 2. Evaluation backends on the unichain ring.
-    // ------------------------------------------------------------------
-    let ring_mdp = unichain_ring(2 * capacity.max(8))?;
-    let ring_start = Policy::uniform(ring_mdp.n_states(), 1);
-    let mut backend_results = Vec::new();
-    for (name, backend) in [
-        ("dense", average::EvalBackend::Dense),
-        ("sparse_direct", average::EvalBackend::SparseDirect),
-    ] {
-        let options = average::Options {
-            backend,
-            ..average::Options::default()
-        };
-        let (solution, secs) =
-            timed(|| average::policy_iteration_from(&ring_mdp, ring_start.clone(), &options));
-        backend_results.push((name, solution?, secs));
-    }
-    let (_, reference_solution, dense_eval_secs) = &backend_results[0];
-    let mut max_gain_diff = 0.0f64;
-    let mut backends_agree = true;
-    for (_, solution, _) in &backend_results {
-        max_gain_diff = max_gain_diff.max((solution.gain() - reference_solution.gain()).abs());
-        backends_agree &= solution.policy() == reference_solution.policy();
-    }
-    // The flag-configured backend is compared at the Krylov agreement
-    // bound (1e-8, matching the stationary proptests) rather than the
-    // exact-backend bound above.
-    let cli_backend_name = cli_backend.name();
-    let cli_options = average::Options {
-        backend: cli_backend,
-        ..average::Options::default()
-    };
-    let (cli_solution, cli_eval_secs) =
-        timed(|| average::policy_iteration_from(&ring_mdp, ring_start.clone(), &cli_options));
-    let cli_solution = cli_solution?;
-    let cli_gain_diff = (cli_solution.gain() - reference_solution.gain()).abs();
-    let cli_backend_agrees =
-        cli_solution.policy() == reference_solution.policy() && cli_gain_diff <= 1e-8;
-
-    // ------------------------------------------------------------------
-    // 3. Solve-phase pipeline, serial vs parallel.
+    // 2. Solve-phase pipeline, serial vs parallel.
     // ------------------------------------------------------------------
     let mut sweep_plan = SolvePlan::new("bench-solve-sweep", root_seed);
     let mut weight = 0.05;
@@ -298,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pipeline_identical = fingerprint(&serial) == fingerprint(&parallel);
 
     // ------------------------------------------------------------------
-    // 4. Stationary solver tiers: sparse direct vs preconditioned Krylov.
+    // 3. Stationary solver tiers: sparse direct vs preconditioned Krylov.
     // ------------------------------------------------------------------
     let tier_states = args.get_usize("tier-states", 100_000)?;
     // The normalization row is dense, so sparse LU elimination goes
@@ -358,36 +221,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &widths,
     );
     rule(&widths);
-    for (name, secs) in [
-        ("improve: dense scan", dense_secs),
-        ("improve: nested lists", reference_secs),
-        ("improve: CSR kernel", csr_secs),
-    ] {
-        row(
-            &[
-                name.into(),
-                format!("{secs:.3e}"),
-                format!("{:.1}x", dense_secs / secs),
-            ],
-            &widths,
-        );
-    }
-    rule(&widths);
-    for (name, _, secs) in &backend_results {
-        row(
-            &[
-                format!("eval backend: {name}"),
-                format!("{secs:.3e}"),
-                format!("{:.1}x", dense_eval_secs / secs),
-            ],
-            &widths,
-        );
-    }
     row(
         &[
-            format!("eval --method {cli_backend_name}"),
-            format!("{cli_eval_secs:.3e}"),
-            format!("{:.1}x", dense_eval_secs / cli_eval_secs),
+            "improvement sweep".into(),
+            format!("{improve_secs:.3e}"),
+            "-".into(),
         ],
         &widths,
     );
@@ -432,11 +270,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\nchecks: improvement kernels agree = {improvement_agrees}, fixpoint = \
-         {improvement_fixpoint},\n        eval backends agree = {backends_agree} \
-         (max gain diff {max_gain_diff:.2e}), pipeline identical = {pipeline_identical},\n        \
-         --method {cli_backend_name} agrees = {cli_backend_agrees} \
-         (gain diff {cli_gain_diff:.2e}),\n        \
+        "\nchecks: improvement fixpoint = {improvement_fixpoint}, pipeline identical = \
+         {pipeline_identical},\n        \
          solver tiers agree = {tiers_agree} (max diff {tier_max_diff:.2e})"
     );
 
@@ -452,34 +287,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.set("root_seed", root_seed);
     params.set("tier_states", tier_states);
     params.set("tier_direct_limit", tier_direct_limit);
-    params.set("method", cli_backend_name);
     params.set("precond", solver_config.precond.name());
     params.set("tol", Json::num(solver_config.tolerance));
     params.set("restart", solver_config.restart);
     doc.set("params", params);
     let mut checks = Json::object();
-    checks.set("improvement_policies_agree", improvement_agrees);
     checks.set("improvement_is_fixpoint", improvement_fixpoint);
-    checks.set("eval_backends_agree", backends_agree);
-    checks.set("eval_backends_max_gain_diff", Json::num(max_gain_diff));
-    checks.set("cli_backend_agrees", cli_backend_agrees);
-    checks.set("cli_backend_gain_diff", Json::num(cli_gain_diff));
     checks.set("solve_parallel_identical", pipeline_identical);
     checks.set("stationary_tiers_agree", tiers_agree);
     checks.set("stationary_tiers_max_diff", Json::num(tier_max_diff));
     doc.set("checks", checks);
     let mut timers = Json::object();
-    timers.set("improve_dense_scan_secs", Json::num(dense_secs));
-    timers.set("improve_reference_secs", Json::num(reference_secs));
-    timers.set("improve_csr_secs", Json::num(csr_secs));
-    timers.set(
-        "improve_csr_speedup_vs_dense_scan",
-        Json::num(dense_secs / csr_secs),
-    );
-    for (name, _, secs) in &backend_results {
-        timers.set(&format!("eval_{name}_secs"), Json::num(*secs));
-    }
-    timers.set("eval_cli_backend_secs", Json::num(cli_eval_secs));
+    timers.set("improve_secs", Json::num(improve_secs));
     timers.set("pipeline_serial_secs", Json::num(serial_secs));
     timers.set("pipeline_parallel_secs", Json::num(parallel_secs));
     timers.set("solve_workers", solve_workers);
@@ -497,21 +316,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     doc.set("timers", timers);
 
-    if !(improvement_agrees
-        && improvement_fixpoint
-        && backends_agree
-        && cli_backend_agrees
-        && pipeline_identical
-        && tiers_agree)
-    {
-        artifact::write(&out, &doc)?;
+    artifact::write(&out, &doc)?;
+    if !(improvement_fixpoint && pipeline_identical && tiers_agree) {
         return Err("solve-phase correctness checks failed (see artifact)".into());
     }
-    if max_gain_diff > 1e-10 {
-        artifact::write(&out, &doc)?;
-        return Err(format!("eval backends disagree on gain by {max_gain_diff:.2e}").into());
-    }
-    artifact::write(&out, &doc)?;
     println!("artifact: {out}");
     Ok(())
 }

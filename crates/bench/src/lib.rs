@@ -9,7 +9,6 @@
 
 use dpm_core::{DpmError, PmPolicy, PmSystem, SpModel, SrModel};
 use dpm_harness::{Json, Registry, TaskRecord};
-use dpm_mdp::{Ctmdp, MdpError};
 use dpm_sim::controller::{Controller, TableController};
 use dpm_sim::workload::PoissonWorkload;
 use dpm_sim::{SimConfig, SimError, SimReport, Simulator};
@@ -26,27 +25,6 @@ pub fn paper_system(lambda: f64) -> Result<PmSystem, DpmError> {
         .requestor(SrModel::poisson(lambda)?)
         .capacity(5)
         .build()
-}
-
-/// A synthetic ring of `n` states on which every policy is irreducible —
-/// the substrate of the evaluation-backend comparisons. State `i` either
-/// steps to `i + 1` or, at 1.5× the cost rate, splits its exits between
-/// `i + 1` and `i + 2` (mod `n`).
-///
-/// # Errors
-///
-/// Propagates CTMDP validation failures (for `n < 3` a transition would
-/// target its own state).
-pub fn unichain_ring(n: usize) -> Result<Ctmdp, MdpError> {
-    let mut b = Ctmdp::builder(n);
-    for i in 0..n {
-        let (next, shortcut) = ((i + 1) % n, (i + 2) % n);
-        #[allow(clippy::cast_precision_loss)]
-        let (cost, rate) = (1.0 + i as f64 * 0.37, 1.0 + i as f64 * 0.01);
-        b.action(i, "step", cost, &[(next, rate)])?;
-        b.action(i, "skip", cost * 1.5, &[(next, 0.3), (shortcut, 0.9)])?;
-    }
-    b.build()
 }
 
 /// The paper's workload size.

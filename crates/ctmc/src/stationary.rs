@@ -1118,9 +1118,10 @@ impl std::fmt::Display for ChainBlock {
 /// block, each assembled straight from the generator's CSR rows:
 ///
 /// * each closed class `C` gets the combined system over the unknowns
-///   `(v_j for j ∈ C \ {first}, g_C)`: the bias is pinned to zero at the
-///   class's lowest-numbered state, and the dense `−1` gain column comes
-///   last, so elimination meets it after the sparse generator columns;
+///   `(v_j for j ∈ C \ {first}, g_C / s)`: the bias is pinned to zero at
+///   the class's lowest-numbered state, and the dense gain column, filled
+///   with `−s` for `s = gain_scale(max |G_ij|)`, comes last, so
+///   elimination meets it after the sparse generator columns;
 /// * the transient states `T` share one block `G_TT`, which yields the
 ///   absorption-weighted gains from `G_TT g_T = −G_TR g_R` and the bias
 ///   from `G_TT v_T = g_T − c_T − G_TR v_R`.
@@ -1167,8 +1168,9 @@ struct ClosedClass {
 
 #[derive(Debug, Clone)]
 enum ClassFactor {
-    /// LU of the combined block: bias of `members[1..]`, then the gain.
-    Lu(Lu),
+    /// LU of the combined block: bias of `members[1..]`, then the gain
+    /// divided by `scale` (see [`gain_scale`]).
+    Lu { lu: Lu, scale: f64 },
     /// The combined block was singular at `pivot`; the gain is `π · c`.
     Stationary {
         pi: DVector,
@@ -1219,18 +1221,23 @@ impl ChainFactors {
             }
             let k = members.len();
             let mut a = DMatrix::zeros(k, k);
+            let mut max_abs = 0.0f64;
             for (row, &i) in members.iter().enumerate() {
                 // Closedness keeps every entry inside the class; the pinned
                 // state's column drops out.
                 for (j, rate) in csr.row(i) {
                     if local[j] > 0 {
                         a[(row, local[j] - 1)] = rate;
+                        max_abs = max_abs.max(rate.abs());
                     }
                 }
-                a[(row, k - 1)] = -1.0;
+            }
+            let scale = gain_scale(max_abs);
+            for row in 0..k {
+                a[(row, k - 1)] = -scale;
             }
             let factor = match Lu::new(a) {
-                Ok(lu) => ClassFactor::Lu(lu),
+                Ok(lu) => ClassFactor::Lu { lu, scale },
                 Err(LinalgError::Singular { pivot }) => {
                     let sub = class_generator(generator, &members, &local)?;
                     // Closed classes inherit whatever conditioning the
@@ -1289,7 +1296,7 @@ impl ChainFactors {
     pub fn class_fallbacks(&self) -> impl Iterator<Item = &SolveStats> {
         self.closed.iter().filter_map(|class| match &class.factor {
             ClassFactor::Stationary { stats, .. } => Some(stats),
-            ClassFactor::Lu(_) => None,
+            ClassFactor::Lu { .. } => None,
         })
     }
 
@@ -1334,12 +1341,12 @@ impl ChainFactors {
             let members = &class.members;
             let k = members.len();
             let gain = match &class.factor {
-                ClassFactor::Lu(lu) => {
+                ClassFactor::Lu { lu, scale } => {
                     let x = lu.solve(&DVector::from_fn(k, |l| -costs[members[l]]))?;
                     for (l, &state) in members.iter().enumerate().skip(1) {
                         bias[state] = x[l - 1];
                     }
-                    x[k - 1]
+                    scale * x[k - 1]
                 }
                 ClassFactor::Stationary { pi, pivot, .. } => {
                     if with_bias {
@@ -1387,6 +1394,24 @@ impl ChainFactors {
         }
         Ok((gains, bias))
     }
+}
+
+/// Largest power of two not above `max(1, max_abs)`, where `max_abs` is
+/// the largest generator entry of an evaluation system: the magnitude of
+/// its gain column.
+///
+/// A unit gain column beside uniformly fast rates (a 2-cycle at 1e14)
+/// falls under LU's relative pivot threshold `1e-13·max|A|`, and a healthy
+/// class is rejected as singular. Filling the column with `−s` keeps it on
+/// the generator's scale, and the gain is `s` times its unknown. Because
+/// `s` is a power of two the scaling is exact: every system the unit
+/// column factored gives bit-identical gain and bias, and the pivot
+/// threshold itself does not move (`s ≤ max(1, max|A|)`).
+#[must_use]
+pub fn gain_scale(max_abs: f64) -> f64 {
+    // Clearing a positive normal float's mantissa rounds it down to a
+    // power of two.
+    f64::from_bits(max_abs.max(1.0).to_bits() & !((1u64 << 52) - 1))
 }
 
 /// The dense generator of the closed class `members` (whose local
@@ -2198,29 +2223,67 @@ mod gain_vector_tests {
     }
 
     #[test]
-    fn singular_class_block_takes_its_gain_from_gth_and_refuses_its_bias() {
+    fn fast_class_block_factors_with_a_scaled_gain_column() {
         // Class {0, 1} with rates 1e15 and 1e-2, fed by transient state 2.
-        // The combined block's second pivot is ≈ 1, under the threshold
-        // 1e-13 · 1e15, so the class falls back to its stationary solve.
+        // A unit gain column's pivot (≈ 1) would fall under the threshold
+        // 1e-13 · 1e15; the column scaled to −2^49 keeps it on the
+        // generator's scale.
         let g = SparseGenerator::from_transitions(3, &[(0, 1, 1e15), (1, 0, 1e-2), (2, 0, 1.0)])
             .unwrap();
         let c = DVector::from_vec(vec![5.0, 3.0, 7.0]);
+        let factors = ChainFactors::new(&g).unwrap();
+        assert_eq!(factors.class_fallbacks().count(), 0);
+        let (gains, bias) = factors.solve(&c).unwrap();
+        // π ≈ (1e-17, 1): the gain is the cost of state 1.
+        for i in 0..3 {
+            assert!((gains[i] - 3.0).abs() < 1e-12, "state {i}: {}", gains[i]);
+        }
+        assert_eq!(gain_vector(&g.to_generator().unwrap(), &c).unwrap(), gains);
+        // v_0 = 0, v_1 = (g − c_0) / 1e15 and v_2 = c_2 − g.
+        assert_eq!(bias[0], 0.0);
+        assert!((bias[1] + 2e-15).abs() < 1e-27, "bias {}", bias[1]);
+        assert!((bias[2] - 4.0).abs() < 1e-12, "bias {}", bias[2]);
+    }
+
+    #[test]
+    fn singular_class_block_takes_its_gain_from_gth_and_refuses_its_bias() {
+        // Class {0, 1, 2}: 0 → 1 at 1, 1 → 0 and 1 → 2 at 1e15, 2 → 1 at
+        // 1e-3, fed by transient state 3. After the 1e15 pivot the second
+        // is 0.5, under the threshold 1e-13 · 2e15, so the class falls back
+        // to its stationary solve.
+        let g = SparseGenerator::from_transitions(
+            4,
+            &[
+                (0, 1, 1.0),
+                (1, 0, 1e15),
+                (1, 2, 1e15),
+                (2, 1, 1e-3),
+                (3, 0, 1.0),
+            ],
+        )
+        .unwrap();
+        let c = DVector::from_vec(vec![5.0, 3.0, 7.0, 9.0]);
         let factors = ChainFactors::new(&g).unwrap();
         let fallbacks: Vec<&SolveStats> = factors.class_fallbacks().collect();
         assert_eq!(fallbacks.len(), 1);
         assert_eq!(fallbacks[0].method(), Method::Gth);
         let gains = factors.gains(&c).unwrap();
-        // π ≈ (1e-17, 1): the gain is the cost of state 1.
-        for i in 0..3 {
-            assert!((gains[i] - 3.0).abs() < 1e-12, "state {i}: {}", gains[i]);
+        // π ∝ (1e15, 1, 1e18).
+        let expected = (5e15 + 3.0 + 7e18) / (1e15 + 1.0 + 1e18);
+        for i in 0..4 {
+            assert!(
+                (gains[i] - expected).abs() < 1e-12 * expected,
+                "state {i}: {}",
+                gains[i]
+            );
         }
         assert_eq!(gain_vector(&g.to_generator().unwrap(), &c).unwrap(), gains);
         assert_eq!(
             factors.solve(&c).unwrap_err(),
             CtmcError::SingularBlock {
                 block: ChainBlock::ClosedClass { first: 0 },
-                states: 2,
-                n_states: 3,
+                states: 3,
+                n_states: 4,
                 pivot: 1,
             }
         );

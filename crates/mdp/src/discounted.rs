@@ -199,10 +199,15 @@ mod tests {
         let mdp = repair_mdp();
         let alpha = 1e-5;
         let dis = policy_iteration(&mdp, alpha, &Options::default()).unwrap();
-        let avg = average::policy_iteration(&mdp, &average::Options::default()).unwrap();
+        let avg = average::policy_iteration_multichain(
+            &mdp,
+            mdp.min_cost_policy(),
+            &average::Options::default(),
+        )
+        .unwrap();
         // alpha * v_dis -> average gain (Section II: the discounted reward
         // approaches the total expected reward as a -> 0).
-        assert!((dis.values()[0] * alpha - avg.gain()).abs() < 1e-3);
+        assert!((dis.values()[0] * alpha - avg.gain_from(0)).abs() < 1e-3);
         assert_eq!(dis.policy(), avg.policy());
     }
 

@@ -1,6 +1,7 @@
 //! Flattened per-action CSR kernel for policy improvement.
 //!
-//! The improvement step of policy iteration evaluates the test quantity
+//! The improvement step of policy iteration ([`crate::average::improve`])
+//! evaluates the gain drift `Σ_j s_{i,j}^a g_j` and the bias test quantity
 //! `c_i^a + Σ_j s_{i,j}^a v_j` for *every* state–action pair each round.
 //! Walking the builder's nested `Vec<Vec<ActionSpec>>` for that means two
 //! pointer indirections and a heap hop per action; a dense per-action scan
@@ -8,12 +9,8 @@
 //! into one contiguous CSR layout — one slice of `(column, rate)` pairs and
 //! one cost per row, with two index arrays mapping states to their row
 //! ranges — so a full improvement sweep is a single linear pass over
-//! `O(nnz)` memory.
-//!
-//! The kernel reproduces the reference scan's arithmetic exactly: rates are
-//! stored in the builder's order and accumulated in the same association,
-//! so test quantities (and therefore argmax choices and tie-breaks) are
-//! bit-identical to [`crate::average`]'s dense-list reference scan.
+//! `O(nnz)` memory. Rates are stored in the builder's order, so every sum
+//! accumulates in a fixed order and the sweep is deterministic.
 
 use dpm_linalg::DVector;
 
@@ -121,26 +118,8 @@ impl ActionCsr {
             .map(|(&c, &r)| (c, r))
     }
 
-    /// Test quantity `c_i^a + Σ_j s_{i,j}^a (v_j − v_i)`, accumulated in the
-    /// same order and association as the reference scan (cost first, then
-    /// one fused term per transition) so results are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state`/`action` is out of range or `bias` is too short.
-    #[must_use]
-    pub fn test_quantity(&self, state: usize, action: usize, bias: &DVector) -> f64 {
-        let row = self.sa_ptr[state] + action;
-        let mut q = self.cost[row];
-        let here = bias[state];
-        for k in self.row_ptr[row]..self.row_ptr[row + 1] {
-            q += self.rates[k] * (bias[self.col_idx[k]] - here);
-        }
-        q
-    }
-
-    /// Gain drift `Σ_j s_{i,j}^a (g_j − g_i)` of the multichain improvement
-    /// stage, accumulated from zero like the reference closure.
+    /// Gain drift `Σ_j s_{i,j}^a (g_j − g_i)` of the first improvement
+    /// stage, accumulated from zero.
     ///
     /// # Panics
     ///
@@ -156,9 +135,9 @@ impl ActionCsr {
         d
     }
 
-    /// Bias test quantity in the multichain association `c + (Σ …)`: the sum
-    /// is accumulated from zero first and added to the cost at the end,
-    /// matching the multichain reference closure bit for bit.
+    /// Bias test quantity `c_i^a + Σ_j s_{i,j}^a (v_j − v_i)` of the second
+    /// improvement stage: the sum is accumulated from zero first and added
+    /// to the cost at the end.
     ///
     /// # Panics
     ///
@@ -203,15 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn test_quantity_matches_manual_computation() {
+    fn bias_test_matches_manual_computation() {
         let mdp = sample();
         let csr = mdp.sparse_actions();
         let bias = DVector::from_vec(vec![0.0, 2.0, -1.0]);
         // State 0, action "a": 1.0 + 2.0·(2−0) + 0.5·(−1−0) = 4.5.
-        assert_eq!(csr.test_quantity(0, 0, &bias), 4.5);
+        assert_eq!(csr.bias_test(0, 0, &bias), 4.5);
         // drift with these as gains: 2.0·2 + 0.5·(−1) = 3.5.
         assert_eq!(csr.drift(0, 0, &bias), 3.5);
-        assert_eq!(csr.bias_test(0, 0, &bias), 1.0 + 3.5);
     }
 
     #[test]
@@ -221,6 +199,6 @@ mod tests {
         let csr = b.build().unwrap().sparse_actions();
         assert_eq!(csr.n_actions(0), 1);
         assert_eq!(csr.nnz(), 0);
-        assert_eq!(csr.test_quantity(0, 0, &DVector::zeros(1)), 2.5);
+        assert_eq!(csr.bias_test(0, 0, &DVector::zeros(1)), 2.5);
     }
 }

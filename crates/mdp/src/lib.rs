@@ -40,8 +40,12 @@
 //! // state 1: repair
 //! b.action(1, "repair", 10.0, &[(0, 1.0)])?;
 //! let mdp = b.build()?;
-//! let solution = average::policy_iteration(&mdp, &average::Options::default())?;
-//! assert!(solution.gain() > 0.0);
+//! let solution = average::policy_iteration_multichain(
+//!     &mdp,
+//!     mdp.min_cost_policy(),
+//!     &average::Options::default(),
+//! )?;
+//! assert!(solution.gain_from(0) > 0.0);
 //! # Ok(())
 //! # }
 //! ```

@@ -170,8 +170,12 @@ fn extract(mdp: &Ctmdp, index: &[(usize, usize)], solution: &dpm_lp::Solution) -
 /// b.action(1, "fast", 9.0, &[(0, 10.0)])?;
 /// let mdp = b.build()?;
 /// let via_lp = lp::solve_average(&mdp)?;
-/// let via_pi = average::policy_iteration(&mdp, &average::Options::default())?;
-/// assert!((via_lp.average_cost() - via_pi.gain()).abs() < 1e-7);
+/// let via_pi = average::policy_iteration_multichain(
+///     &mdp,
+///     mdp.min_cost_policy(),
+///     &average::Options::default(),
+/// )?;
+/// assert!((via_lp.average_cost() - via_pi.gain_from(0)).abs() < 1e-7);
 /// # Ok(())
 /// # }
 /// ```
@@ -247,8 +251,13 @@ mod tests {
     fn lp_matches_policy_iteration() {
         let mdp = repair_mdp();
         let lp = solve_average(&mdp).unwrap();
-        let pi = average::policy_iteration(&mdp, &average::Options::default()).unwrap();
-        assert!((lp.average_cost() - pi.gain()).abs() < 1e-8);
+        let pi = average::policy_iteration_multichain(
+            &mdp,
+            mdp.min_cost_policy(),
+            &average::Options::default(),
+        )
+        .unwrap();
+        assert!((lp.average_cost() - pi.gain_from(0)).abs() < 1e-8);
         assert_eq!(&lp.policy().to_deterministic(), pi.policy());
     }
 

@@ -104,8 +104,12 @@ impl Solution {
 /// b.action(1, "fast", 9.0, &[(0, 10.0)])?;
 /// let mdp = b.build()?;
 /// let vi = value_iteration::solve(&mdp, &value_iteration::Options::default())?;
-/// let pi = average::policy_iteration(&mdp, &average::Options::default())?;
-/// assert!((vi.gain() - pi.gain()).abs() < 1e-6);
+/// let pi = average::policy_iteration_multichain(
+///     &mdp,
+///     mdp.min_cost_policy(),
+///     &average::Options::default(),
+/// )?;
+/// assert!((vi.gain() - pi.gain_from(0)).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
@@ -189,6 +193,15 @@ mod tests {
     use super::*;
     use crate::average;
 
+    fn solve_pi(mdp: &Ctmdp) -> average::MultichainSolution {
+        average::policy_iteration_multichain(
+            mdp,
+            mdp.min_cost_policy(),
+            &average::Options::default(),
+        )
+        .unwrap()
+    }
+
     fn repair_mdp() -> Ctmdp {
         let mut b = Ctmdp::builder(2);
         b.action(0, "run", 1.0, &[(1, 1.0)]).unwrap();
@@ -201,10 +214,10 @@ mod tests {
     fn bounds_pinch_on_the_optimal_gain() {
         let mdp = repair_mdp();
         let vi = solve(&mdp, &Options::default()).unwrap();
-        let pi = average::policy_iteration(&mdp, &average::Options::default()).unwrap();
-        assert!(vi.gain_lower() <= pi.gain() + 1e-8);
-        assert!(vi.gain_upper() >= pi.gain() - 1e-8);
-        assert!((vi.gain() - pi.gain()).abs() < 1e-7);
+        let pi = solve_pi(&mdp);
+        assert!(vi.gain_lower() <= pi.gain_from(0) + 1e-8);
+        assert!(vi.gain_upper() >= pi.gain_from(0) - 1e-8);
+        assert!((vi.gain() - pi.gain_from(0)).abs() < 1e-7);
         assert_eq!(vi.policy(), pi.policy());
     }
 
@@ -217,8 +230,8 @@ mod tests {
         b.action(2, "recover", 50.0, &[(0, 0.2)]).unwrap();
         let mdp = b.build().unwrap();
         let vi = solve(&mdp, &Options::default()).unwrap();
-        let pi = average::policy_iteration(&mdp, &average::Options::default()).unwrap();
-        assert!((vi.gain() - pi.gain()).abs() < 1e-6);
+        let pi = solve_pi(&mdp);
+        assert!((vi.gain() - pi.gain_from(0)).abs() < 1e-6);
     }
 
     #[test]

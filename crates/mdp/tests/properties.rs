@@ -6,6 +6,14 @@ use dpm_linalg::DVector;
 use dpm_mdp::{average, discounted, lp, value_iteration, Ctmdp, Dtmdp};
 use proptest::prelude::*;
 
+/// Policy iteration from the minimum-cost-rate policy; on these
+/// irreducible processes every state has the same optimal gain.
+fn optimal_gain(mdp: &Ctmdp) -> f64 {
+    average::policy_iteration_multichain(mdp, mdp.min_cost_policy(), &average::Options::default())
+        .expect("solvable by construction")
+        .gain_from(0)
+}
+
 /// Random CTMDP in which every action keeps the chain irreducible: each
 /// action's rate set contains a ring edge `i -> (i+1) % n` plus an optional
 /// extra edge.
@@ -40,30 +48,26 @@ proptest! {
 
     #[test]
     fn policy_iteration_matches_brute_force(mdp in (2usize..5).prop_flat_map(ring_ctmdp)) {
-        let solution = average::policy_iteration(&mdp, &average::Options::default())
-            .expect("unichain by construction");
+        let gain = optimal_gain(&mdp);
         let brute = mdp
             .enumerate_policies()
             .into_iter()
             .map(|p| mdp.average_cost(&p).expect("irreducible by construction"))
             .fold(f64::INFINITY, f64::min);
         prop_assert!(
-            (solution.gain() - brute).abs() < 1e-7 * (1.0 + brute.abs()),
-            "PI {} vs brute {brute}",
-            solution.gain()
+            (gain - brute).abs() < 1e-7 * (1.0 + brute.abs()),
+            "PI {gain} vs brute {brute}"
         );
     }
 
     #[test]
     fn lp_matches_policy_iteration(mdp in (2usize..5).prop_flat_map(ring_ctmdp)) {
-        let pi = average::policy_iteration(&mdp, &average::Options::default())
-            .expect("unichain");
+        let gain = optimal_gain(&mdp);
         let via_lp = lp::solve_average(&mdp).expect("feasible");
         prop_assert!(
-            (via_lp.average_cost() - pi.gain()).abs() < 1e-6 * (1.0 + pi.gain().abs()),
-            "LP {} vs PI {}",
-            via_lp.average_cost(),
-            pi.gain()
+            (via_lp.average_cost() - gain).abs() < 1e-6 * (1.0 + gain.abs()),
+            "LP {} vs PI {gain}",
+            via_lp.average_cost()
         );
     }
 
@@ -71,44 +75,36 @@ proptest! {
     fn value_iteration_matches_policy_iteration(
         mdp in (2usize..5).prop_flat_map(ring_ctmdp)
     ) {
-        let pi = average::policy_iteration(&mdp, &average::Options::default())
-            .expect("unichain");
+        let gain = optimal_gain(&mdp);
         let options = value_iteration::Options {
             tolerance: 1e-8,
             ..value_iteration::Options::default()
         };
         let vi = value_iteration::solve(&mdp, &options).expect("aperiodic uniformized chain");
         prop_assert!(
-            (vi.gain() - pi.gain()).abs() < 1e-5 * (1.0 + pi.gain().abs()),
-            "VI {} vs PI {}",
-            vi.gain(),
-            pi.gain()
+            (vi.gain() - gain).abs() < 1e-5 * (1.0 + gain.abs()),
+            "VI {} vs PI {gain}",
+            vi.gain()
         );
     }
 
     #[test]
     fn uniformized_dtmdp_matches_ctmdp(mdp in (2usize..5).prop_flat_map(ring_ctmdp)) {
-        let ct = average::policy_iteration(&mdp, &average::Options::default())
-            .expect("unichain");
+        let gain = optimal_gain(&mdp);
         let (dt, lambda) = Dtmdp::from_uniformized(&mdp, 1.05).expect("has transitions");
         let dt_sol = dt.policy_iteration(1_000).expect("unichain");
-        prop_assert!(
-            (dt_sol.gain() * lambda - ct.gain()).abs() < 1e-6 * (1.0 + ct.gain().abs())
-        );
+        prop_assert!((dt_sol.gain() * lambda - gain).abs() < 1e-6 * (1.0 + gain.abs()));
     }
 
     #[test]
     fn small_discount_rate_recovers_average_policy(
         mdp in (2usize..4).prop_flat_map(ring_ctmdp)
     ) {
-        let avg = average::policy_iteration(&mdp, &average::Options::default())
-            .expect("unichain");
+        let gain = optimal_gain(&mdp);
         let dis = discounted::policy_iteration(&mdp, 1e-6, &discounted::Options::default())
             .expect("alpha > 0");
         // Vanishing discount: alpha * v -> optimal gain.
-        prop_assert!(
-            (dis.values()[0] * 1e-6 - avg.gain()).abs() < 1e-3 * (1.0 + avg.gain().abs())
-        );
+        prop_assert!((dis.values()[0] * 1e-6 - gain).abs() < 1e-3 * (1.0 + gain.abs()));
     }
 
     #[test]
@@ -140,41 +136,36 @@ proptest! {
     }
 }
 
-/// A random CTMDP paired with an arbitrary bias vector of matching length.
-fn ctmdp_with_bias() -> impl Strategy<Value = (Ctmdp, Vec<f64>)> {
-    (2usize..6).prop_flat_map(|n| (ring_ctmdp(n), prop::collection::vec(-10.0f64..10.0, n)))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The CSR improvement kernel and the nested-list scan pick identical
-    /// argmax actions — ties broken identically, incumbent preference
-    /// included — for arbitrary incumbent policies, bias vectors, and
-    /// improvement tolerances.
+    /// Differential oracle: the dense unichain evaluation (one LU of the
+    /// `n`-unknown system, bias pinned at a random reference state) and
+    /// [`average::evaluate_multichain`] (`ChainFactors`, bias pinned at
+    /// state 0) give the same gain in every state and the same bias once
+    /// the dense one is re-pinned at state 0.
     #[test]
-    fn csr_improvement_matches_reference_scan(
-        (mdp, bias) in ctmdp_with_bias(),
-        tolerance_choice in 0usize..4,
+    fn dense_and_chain_factors_evaluations_agree(
+        (mdp, reference) in (2usize..7).prop_flat_map(|n| (ring_ctmdp(n), 0..n)),
     ) {
-        let tolerance = [0.0, 1e-9, 1e-3, 1.0][tolerance_choice];
-        let kernel = mdp.sparse_actions();
-        let bias = DVector::from_vec(bias);
-        for incumbent in mdp.enumerate_policies().into_iter().take(8) {
-            let reference = average::improve_step(&mdp, &incumbent, &bias, tolerance);
-            let via_csr = average::improve_step_csr(&kernel, &incumbent, &bias, tolerance);
-            prop_assert_eq!(
-                reference.actions(),
-                via_csr.actions(),
-                "tolerance {}",
-                tolerance
+        for policy in mdp.enumerate_policies().into_iter().take(8) {
+            let dense = average::evaluate(&mdp, &policy, reference).expect("unichain");
+            let factored = average::evaluate_multichain(&mdp, &policy).expect("evaluable");
+            let gain = dense.gain();
+            for (i, g) in factored.gains().iter().enumerate() {
+                prop_assert!(
+                    (g - gain).abs() < 1e-10 * (1.0 + gain.abs()),
+                    "policy {policy}, state {i}: dense gain {gain} vs {g}"
+                );
+            }
+            let repinned = DVector::from_fn(mdp.n_states(), |j| dense.bias()[j] - dense.bias()[0]);
+            let diff = (&repinned - factored.bias()).norm_inf();
+            prop_assert!(
+                diff < 1e-9 * (1.0 + repinned.norm_inf()),
+                "policy {policy}: bias diff {diff}"
             );
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The multichain evaluation's gain/bias pair satisfies the evaluation
     /// identity rowwise: `c_i − g_i + Σ_j G_ij v_j = 0` at every state, and

@@ -14,7 +14,7 @@
 //! | [`linalg`] | `dpm-linalg` | dense matrices, CSR sparse matrices, LU, Kronecker algebra, iterative and preconditioned Krylov solvers (BiCGSTAB, GMRES(m), ILU(0)) |
 //! | [`ctmc`] | `dpm-ctmc` | Markov chains: dense and sparse generators, the unified `stationary::Solver` builder over `Method::{Lu, Gth, Power, Iterative, BiCgStab, Gmres}`, transient analysis, rewards |
 //! | [`lp`] | `dpm-lp` | two-phase primal simplex |
-//! | [`mdp`] | `dpm-mdp` | CTMDP/DTMDP solvers: policy iteration (unichain & multichain, dense, sparse direct or Krylov evaluation backend), value iteration, occupation-measure LPs |
+//! | [`mdp`] | `dpm-mdp` | CTMDP/DTMDP solvers: policy iteration (Howard's multichain algorithm over `ChainFactors` evaluation), value iteration, occupation-measure LPs |
 //! | [`model`] | `dpm-core` | the paper's power-management model and policy optimization; SYS generators assemble densely or directly into CSR |
 //! | [`sim`] | `dpm-sim` | the event-driven simulator, workloads and controllers |
 //! | [`serve`] | `dpm-serve` | compiled-policy serving: `CompiledPolicy` artifacts and the sharded multi-core event runtime |
