@@ -1,7 +1,7 @@
 //! Criterion benchmark: stationary-distribution solvers (A3).
 //!
-//! GTH vs direct LU vs power iteration on birth–death chains of growing
-//! size and on the (stiff) power-managed system chain.
+//! GTH vs Gauss–Seidel vs BiCGSTAB on birth–death chains of growing size,
+//! and GTH vs Gauss–Seidel on the (stiff) power-managed system chain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpm_core::{PmPolicy, PmSystem, SpModel, SrModel};
@@ -11,66 +11,35 @@ fn bench_birth_death(c: &mut Criterion) {
     let mut group = c.benchmark_group("stationary_birth_death");
     for size in [10usize, 50, 200] {
         let g = stationary::mm1k_generator(0.4, 1.0, size).expect("valid rates");
-        group.bench_with_input(BenchmarkId::new("gth", size), &size, |b, _| {
-            b.iter(|| Solver::new(Method::Gth).solve(&g).expect("irreducible"));
-        });
-        group.bench_with_input(BenchmarkId::new("lu", size), &size, |b, _| {
-            b.iter(|| Solver::new(Method::Lu).solve(&g).expect("irreducible"));
-        });
-        group.bench_with_input(BenchmarkId::new("power", size), &size, |b, _| {
-            b.iter(|| {
-                Solver::new(Method::Power)
-                    .tolerance(1e-10)
-                    .max_iters(10_000_000)
-                    .solve(&g)
-                    .expect("converges")
+        for method in [Method::Gth, Method::Iterative, Method::BiCgStab] {
+            group.bench_with_input(BenchmarkId::new(method.name(), size), &size, |b, _| {
+                b.iter(|| Solver::new(method).solve(&g).expect("irreducible"));
             });
-        });
+        }
     }
     group.finish();
 }
 
 fn bench_dpm_chain(c: &mut Criterion) {
     // The greedy policy's chain on the paper system: stiff (instant-rate
-    // transfer surrogates), the workload GTH was chosen for. GTH needs an
-    // irreducible chain, so the benchmark runs on the recurrent class
-    // (policies leave parts of the full state space unreachable).
+    // transfer surrogates), the workload GTH was chosen for. The policy
+    // leaves transient states, so the solvers run on its closed class.
     let system = PmSystem::builder()
         .provider(SpModel::dac99_server().expect("paper parameters"))
         .requestor(SrModel::poisson(1.0 / 6.0).expect("positive rate"))
         .capacity(5)
         .build()
         .expect("valid system");
-    let full = system
+    let g = system
         .generator_for(&PmPolicy::greedy(&system).expect("valid policy"))
         .expect("valid chain");
-    let g = recurrent_class_chain(&full);
     let mut group = c.benchmark_group("stationary_dpm_chain");
-    group.bench_function("gth", |b| {
-        b.iter(|| Solver::new(Method::Gth).solve(&g).expect("irreducible"));
-    });
-    group.bench_function("lu", |b| {
-        b.iter(|| Solver::new(Method::Lu).solve(&g).expect("irreducible"));
-    });
-    group.finish();
-}
-
-/// Restricts a chain to its (unique, reachable) closed communicating class.
-fn recurrent_class_chain(full: &dpm_ctmc::Generator) -> dpm_ctmc::Generator {
-    let recurrent = dpm_ctmc::graph::recurrent_states(full);
-    let members: Vec<usize> = (0..full.n_states()).filter(|&i| recurrent[i]).collect();
-    let index_of: std::collections::HashMap<usize, usize> = members
-        .iter()
-        .enumerate()
-        .map(|(local, &global)| (global, local))
-        .collect();
-    let mut b = dpm_ctmc::Generator::builder(members.len());
-    for (from, to, rate) in full.transitions() {
-        if let (Some(&lf), Some(&lt)) = (index_of.get(&from), index_of.get(&to)) {
-            b.add_rate(lf, lt, rate);
-        }
+    for method in [Method::Gth, Method::Iterative] {
+        group.bench_function(method.name(), |b| {
+            b.iter(|| Solver::new(method).solve(&g).expect("unichain"));
+        });
     }
-    b.build().expect("closed class is a valid chain")
+    group.finish();
 }
 
 criterion_group! {

@@ -9,15 +9,14 @@
 //! 2. **Solve-phase pipeline**: a weight sweep as a
 //!    [`dpm_harness::solve::SolvePlan`] at 1 worker versus
 //!    `--solve-workers`, checked bit-identical.
-//! 3. **Stationary solver tiers**: sparse direct (`SparseLu`) versus the
-//!    preconditioned Krylov methods (BiCGSTAB / GMRES + ILU(0)) on
-//!    synthetic sparse birth–death chains up to `--tier-states` (default
-//!    100 000) states, recording the direct↔Krylov crossover. The direct
-//!    solve is skipped beyond `--tier-direct-limit` (default 10 000),
-//!    where the dense normalization row makes its elimination
-//!    superlinear. `--tol` / `--precond` / `--restart` map 1:1 onto
-//!    [`dpm_ctmc::stationary::SolverConfig`]. All tiers must agree
-//!    pairwise to ≤ 1e-8.
+//! 3. **Stationary solver tiers**: the sparse direct solve
+//!    ([`Method::Gth`] on a sparse generator, `SparseLu`) versus
+//!    ILU(0)-preconditioned BiCGSTAB on synthetic sparse birth–death
+//!    chains up to `--tier-states` (default 100 000) states, recording
+//!    the direct↔Krylov crossover. The direct solve is skipped beyond
+//!    `--tier-direct-limit` (default 10 000), where the dense
+//!    normalization row makes its elimination superlinear. `--tol` sets
+//!    BiCGSTAB's tolerance. The tiers must agree to ≤ 1e-8.
 //!
 //! Deterministic fields (`params`, `checks`) are canonical; wall-clock
 //! numbers live under the `timers` key, which the artifact diff strips.
@@ -26,7 +25,7 @@
 //! ```text
 //! cargo run --release -p dpm-bench --bin bench_solve -- \
 //!     [--capacity Q] [--rounds R] [--solve-workers N] \
-//!     [--tol T] [--precond NAME] [--restart M] \
+//!     [--tol T] \
 //!     [--tier-states N] [--tier-direct-limit N] [--seed S] \
 //!     [--out results/BENCH_solve.json]
 //! ```
@@ -76,8 +75,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "rounds",
         "solve-workers",
         "tol",
-        "precond",
-        "restart",
         "tier-states",
         "tier-direct-limit",
         "seed",
@@ -89,15 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let root_seed = args.get_u64("seed", 1300)?;
     let out = args.get_str("out", "results/BENCH_solve.json");
 
-    // Solver-configuration flags for the Krylov stationary tiers.
-    let precond_flag = args.get_str("precond", "ilu0");
-    let solver_config = stationary::SolverConfig {
-        tolerance: args.get_f64("tol", stationary::DEFAULT_TOLERANCE)?,
-        restart: args.get_usize("restart", stationary::DEFAULT_RESTART)?,
-        precond: stationary::Precond::parse(&precond_flag)
-            .ok_or_else(|| format!("--precond {precond_flag}: expected `ilu0` or `none`"))?,
-        ..stationary::SolverConfig::default()
-    };
+    // BiCGSTAB's tolerance in the stationary tiers.
+    let tolerance = args.get_f64("tol", stationary::DEFAULT_TOLERANCE)?;
 
     // ------------------------------------------------------------------
     // 1. Improvement sweep at Q = capacity.
@@ -161,7 +151,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pipeline_identical = fingerprint(&serial) == fingerprint(&parallel);
 
     // ------------------------------------------------------------------
-    // 3. Stationary solver tiers: sparse direct vs preconditioned Krylov.
+    // 3. Stationary solver tiers: sparse direct vs BiCGSTAB + ILU(0).
     // ------------------------------------------------------------------
     let tier_states = args.get_usize("tier-states", 100_000)?;
     // The normalization row is dense, so sparse LU elimination goes
@@ -176,25 +166,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tier_rows: Vec<(usize, String, f64, usize, f64)> = Vec::new();
     let mut tiers_agree = true;
     let mut tier_max_diff = 0.0f64;
-    let tier_label = |method: Method| {
-        if method.is_krylov() {
-            format!("{}_{}", method.name(), solver_config.precond.name())
-        } else {
-            "sparse_lu".to_owned()
-        }
+    let tier_label = |method: Method| match method {
+        Method::BiCgStab => "bicgstab_ilu0",
+        _ => "sparse_lu",
     };
     for &size in &tier_sizes {
         let chain = birth_death_sparse(size)?;
         let mut reference = None;
-        for method in [Method::Lu, Method::BiCgStab, Method::Gmres] {
-            if method == Method::Lu && size > tier_direct_limit {
+        for method in [Method::Gth, Method::BiCgStab] {
+            if method == Method::Gth && size > tier_direct_limit {
                 continue;
             }
             let (solved, secs) = timed(|| {
                 stationary::Solver::new(method)
-                    .tolerance(solver_config.tolerance)
-                    .restart(solver_config.restart)
-                    .precond(solver_config.precond)
+                    .tolerance(tolerance)
                     .solve(&chain)
             });
             let (pi, stats) = solved?;
@@ -207,7 +192,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             };
             tier_max_diff = tier_max_diff.max(diff);
             tiers_agree &= diff <= 1e-8;
-            tier_rows.push((size, tier_label(method), secs, stats.sweeps(), diff));
+            tier_rows.push((
+                size,
+                tier_label(method).to_owned(),
+                secs,
+                stats.sweeps(),
+                diff,
+            ));
         }
     }
 
@@ -287,9 +278,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.set("root_seed", root_seed);
     params.set("tier_states", tier_states);
     params.set("tier_direct_limit", tier_direct_limit);
-    params.set("precond", solver_config.precond.name());
-    params.set("tol", Json::num(solver_config.tolerance));
-    params.set("restart", solver_config.restart);
+    params.set("tol", Json::num(tolerance));
     doc.set("params", params);
     let mut checks = Json::object();
     checks.set("improvement_is_fixpoint", improvement_fixpoint);

@@ -192,8 +192,8 @@ impl LumpedSolution {
 }
 
 /// Builds and solves the occupancy-space chain through the stock
-/// [`Solver`] builder (Krylov first with the full fallback ladder; the
-/// irreducibility guard reroutes reducible fleets to Gauss–Seidel).
+/// [`Solver`] builder (Krylov first with the full fallback ladder, on the
+/// closed class of a reducible fleet).
 ///
 /// # Errors
 ///

@@ -20,9 +20,9 @@
 //!    load arriving while the fleet is fully asleep.
 //!
 //! The optimal cluster policy is evaluated exactly: its induced chain
-//! goes through the stock stationary [`Solver`] ladder (where the
-//! irreducibility guard reroutes sleepy, reducible policies away from the
-//! Krylov tier automatically).
+//! goes through the stock stationary [`Solver`] ladder, which solves the
+//! closed class of a sleepy, reducible policy and puts zero mass on its
+//! transient states.
 
 use dpm_ctmc::stationary::{Method, SolveStats, Solver};
 use dpm_harness::{run_solve_plan, PlanPoint, SolvePlan};
@@ -275,8 +275,7 @@ where
     let policy = solution.policy().clone();
 
     // Exact evaluation of the induced chain through the stock solver
-    // ladder (the irreducibility guard reroutes reducible sleep policies
-    // past the Krylov tier).
+    // ladder (a reducible sleep policy is solved on its closed class).
     let generator = mdp.sparse_generator_for(&policy)?;
     let (pi, stats) = Solver::new(Method::BiCgStab)
         .with_default_fallback()

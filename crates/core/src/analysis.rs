@@ -398,13 +398,13 @@ mod tests {
         let policy = PmPolicy::greedy(&sys).unwrap();
         let dense = sys.generator_for(&policy).unwrap();
         let sparse = sys.sparse_generator_for(&policy).unwrap();
-        // The greedy chain is unichain with transient states, so use the LU
-        // solver (GTH requires irreducibility).
-        let reference = Solver::new(Method::Lu).solve(&dense).unwrap().0;
+        // The greedy chain is unichain with transient states: both solves
+        // run on its closed class.
+        let reference = Solver::new(Method::Gth).solve(&dense).unwrap().0;
         let pi = Solver::new(Method::Iterative).solve(&sparse).unwrap().0;
         assert!(
             (&pi - &reference).norm_inf() < 1e-8,
-            "sparse iterative diverges from dense LU by {}",
+            "sparse iterative diverges from dense GTH by {}",
             (&pi - &reference).norm_inf()
         );
     }

@@ -464,9 +464,8 @@ impl PmSystemBuilder {
     ///   `1000 × max_rate`), because the occupation-measure LP mixes every
     ///   rate into one constraint matrix and the default surrogate would
     ///   dominate its conditioning;
-    /// * callers selecting a uniformization-based solver
-    ///   (`dpm_ctmc::stationary::Method::Power`, or
-    ///   `dpm_mdp::value_iteration`) should lower it themselves (e.g. to
+    /// * callers of a uniformization-based solver
+    ///   (`dpm_mdp::value_iteration`) should lower it themselves (e.g. to
     ///   `1e2`), because uniformized sweeps take
     ///   `O(instant_rate / slowest_rate)` iterations to mix. The
     ///   Gauss–Seidel balance-equation solver behind

@@ -158,42 +158,6 @@ impl Dtmc {
         Ok(pi)
     }
 
-    /// Stationary distribution by power iteration from the uniform
-    /// distribution.
-    ///
-    /// Requires irreducibility and aperiodicity (a chain produced by
-    /// [`crate::Generator::uniformize`] with margin > 1 is always
-    /// aperiodic).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtmcError::Numerical`] wrapping
-    /// [`dpm_linalg::LinalgError::NotConverged`] if the iteration budget is
-    /// exhausted.
-    pub fn stationary_power(
-        &self,
-        tolerance: f64,
-        max_iterations: usize,
-    ) -> Result<DVector, CtmcError> {
-        let n = self.n_states();
-        let mut pi = DVector::constant(n, 1.0 / n as f64);
-        let mut residual = f64::INFINITY;
-        for _ in 0..max_iterations {
-            let next = self.step(&pi);
-            residual = (&next - &pi).norm_inf();
-            pi = next;
-            if residual <= tolerance {
-                return Ok(pi);
-            }
-        }
-        Err(CtmcError::Numerical(
-            dpm_linalg::LinalgError::NotConverged {
-                iterations: max_iterations,
-                residual,
-            },
-        ))
-    }
-
     /// Expected discounted total cost `v = c + β P v` for discount
     /// `β ∈ [0, 1)`, solved directly.
     ///
@@ -267,14 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn power_matches_gth() {
-        let p = two_state();
-        let gth = p.stationary_gth().unwrap();
-        let pow = p.stationary_power(1e-14, 100_000).unwrap();
-        assert!((&gth - &pow).norm_inf() < 1e-10);
-    }
-
-    #[test]
     fn gth_handles_three_state_ring() {
         let p = Dtmc::from_matrix(
             DMatrix::from_rows(&[&[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[1.0, 0.0, 0.0]]).unwrap(),
@@ -284,17 +240,6 @@ mod tests {
         for i in 0..3 {
             assert!((pi[i] - 1.0 / 3.0).abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn power_method_reports_non_convergence_on_periodic_chain() {
-        // Period-2 chain: power iteration from a non-stationary start point
-        // oscillates. Uniform start is actually stationary here, so perturb
-        // via an asymmetric chain with slow mixing and tiny budget instead.
-        let p =
-            Dtmc::from_matrix(DMatrix::from_rows(&[&[0.999, 0.001], &[0.0005, 0.9995]]).unwrap())
-                .unwrap();
-        assert!(p.stationary_power(1e-15, 3).is_err());
     }
 
     #[test]

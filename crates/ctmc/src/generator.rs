@@ -184,6 +184,15 @@ impl Generator {
         })
     }
 
+    /// The generator of the closed class `members` (ascending): no rate
+    /// leaves a closed class, so its rows are copied entry for entry.
+    pub(crate) fn closed_class(&self, members: &[usize]) -> Generator {
+        let k = members.len();
+        Generator {
+            matrix: DMatrix::from_fn(k, k, |a, b| self.matrix[(members[a], members[b])]),
+        }
+    }
+
     /// Uniformizes the chain: returns the discrete-time transition matrix
     /// `P = I + G/Λ` and the uniformization constant `Λ`.
     ///

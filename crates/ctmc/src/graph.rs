@@ -17,6 +17,8 @@ pub struct Classes {
     class_of: Vec<usize>,
     /// Members of each class, in ascending state order.
     members: Vec<Vec<usize>>,
+    /// `closed[c]`: no transition leaves class `c`.
+    closed: Vec<bool>,
 }
 
 impl Classes {
@@ -55,6 +57,14 @@ impl Classes {
     /// Iterates over all classes.
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
         self.members.iter().map(Vec::as_slice)
+    }
+
+    /// Iterates over the closed classes — those no transition leaves, in
+    /// a finite chain exactly the recurrent ones — in class order.
+    pub fn closed(&self) -> impl Iterator<Item = &[usize]> {
+        self.iter()
+            .zip(&self.closed)
+            .filter_map(|(members, &closed)| closed.then_some(members))
     }
 }
 
@@ -181,7 +191,17 @@ fn classes_of_adjacency(n: usize, adj: &[Vec<usize>]) -> Classes {
         }
     }
 
-    Classes { class_of, members }
+    let mut closed = vec![true; members.len()];
+    for (v, targets) in adj.iter().enumerate() {
+        if targets.iter().any(|&w| class_of[w] != class_of[v]) {
+            closed[class_of[v]] = false;
+        }
+    }
+    Classes {
+        class_of,
+        members,
+        closed,
+    }
 }
 
 /// Returns `true` if the chain is irreducible (a single communicating
@@ -265,17 +285,13 @@ pub fn is_connected(generator: &Generator) -> bool {
 /// chains, where every closed class is positive recurrent).
 #[must_use]
 pub fn recurrent_states(generator: &Generator) -> Vec<bool> {
-    let classes = communicating_classes(generator);
-    let n = generator.n_states();
-    let mut class_is_closed = vec![true; classes.len()];
-    for (from, to, _) in generator.transitions() {
-        if classes.class_of(from) != classes.class_of(to) {
-            class_is_closed[classes.class_of(from)] = false;
+    let mut recurrent = vec![false; generator.n_states()];
+    for members in communicating_classes(generator).closed() {
+        for &i in members {
+            recurrent[i] = true;
         }
     }
-    (0..n)
-        .map(|i| class_is_closed[classes.class_of(i)])
-        .collect()
+    recurrent
 }
 
 #[cfg(test)]
@@ -307,6 +323,7 @@ mod tests {
         assert_eq!(c.class_of(0), c.class_of(1));
         assert_eq!(c.class_of(2), c.class_of(3));
         assert_ne!(c.class_of(0), c.class_of(2));
+        assert_eq!(c.closed().collect::<Vec<_>>(), [&[2, 3]]);
         assert!(!is_irreducible(&g));
         // Weakly connected even though not strongly.
         assert!(is_connected(&g));

@@ -10,11 +10,11 @@
 //!   storage, for SYS-level chains whose transition count grows linearly in
 //!   the state count;
 //! * [`stationary`] — limiting-distribution solvers (`πG = 0`, `Σπ = 1`,
-//!   Theorem 2.1) behind the unified [`stationary::Solver`] builder: direct
-//!   LU, the numerically stable Grassmann–Taksar–Heyman elimination, power
-//!   iteration on the uniformized chain, matrix-free Gauss–Seidel on the
-//!   balance equations, and the ILU(0)-preconditioned Krylov tier
-//!   (BiCGSTAB, restarted GMRES) for very large sparse chains
+//!   Theorem 2.1) behind the unified [`stationary::Solver`] builder, which
+//!   solves the one closed class of its input: the numerically stable
+//!   Grassmann–Taksar–Heyman elimination (sparse: a direct solve),
+//!   matrix-free Gauss–Seidel on the balance equations, and
+//!   ILU(0)-preconditioned BiCGSTAB for very large sparse chains
 //!   ([`stationary::Method`]); and, for possibly multichain chains,
 //!   [`stationary::ChainFactors`], which factors the gain/bias equations
 //!   once per chain and solves them for any number of cost vectors;
@@ -42,7 +42,7 @@
 //!     .rate(0, 1, 1.0) // up -> down
 //!     .rate(1, 0, 3.0) // down -> up
 //!     .build()?;
-//! let (pi, _) = stationary::Solver::new(stationary::Method::Lu).solve(&g)?;
+//! let (pi, _) = stationary::Solver::new(stationary::Method::Gth).solve(&g)?;
 //! assert!((pi[0] - 0.75).abs() < 1e-12);
 //! # Ok(())
 //! # }

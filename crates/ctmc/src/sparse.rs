@@ -9,7 +9,7 @@
 //! [`crate::stationary`] operate on it without ever materializing a dense
 //! matrix.
 
-use dpm_linalg::{CsrMatrix, DVector};
+use dpm_linalg::CsrMatrix;
 
 use crate::{CtmcError, Generator};
 
@@ -102,10 +102,9 @@ impl SparseGenerator {
         SparseGenerator { csr, exit }
     }
 
-    /// Materializes the dense equivalent. `O(n²)` memory — intended for the
-    /// dense-only solvers ([`crate::stationary::Method::Lu`] /
-    /// [`crate::stationary::Method::Gth`]) and for tests; defeats the point
-    /// of sparsity at scale.
+    /// Materializes the dense equivalent. `O(n²)` memory — intended for
+    /// dense GTH ([`crate::stationary::Method::Gth`] on a [`Generator`])
+    /// and for tests; defeats the point of sparsity at scale.
     ///
     /// # Errors
     ///
@@ -166,19 +165,21 @@ impl SparseGenerator {
         self.csr.iter().filter(|&(i, j, rate)| i != j && rate > 0.0)
     }
 
-    /// One uniformized step `π ← π P` with `P = I + G/Λ`, computed
-    /// matrix-free as `π + (πG)/Λ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi.len() != self.n_states()` or `lambda <= 0`.
-    #[must_use]
-    pub fn uniformized_step(&self, pi: &DVector, lambda: f64) -> DVector {
-        assert!(lambda > 0.0, "uniformization constant must be positive");
-        let mut next = self.csr.vec_mul(pi);
-        next.scale_mut(1.0 / lambda);
-        next.axpy(1.0, pi);
-        next
+    /// The generator of the closed class `members` (ascending): no rate
+    /// leaves a closed class, so its rows are copied entry for entry.
+    pub(crate) fn closed_class(&self, members: &[usize]) -> Result<SparseGenerator, CtmcError> {
+        let mut local = vec![usize::MAX; self.n_states()];
+        for (l, &state) in members.iter().enumerate() {
+            local[state] = l;
+        }
+        let mut triplets = Vec::new();
+        for (row, &i) in members.iter().enumerate() {
+            triplets.extend(self.csr.row(i).map(|(j, v)| (row, local[j], v)));
+        }
+        let k = members.len();
+        let csr = CsrMatrix::from_triplets(k, k, &triplets).map_err(CtmcError::Numerical)?;
+        let exit = members.iter().map(|&i| self.exit[i]).collect();
+        Ok(SparseGenerator { csr, exit })
     }
 
     /// Maximum absolute row sum — zero (to tolerance) for a valid generator.
@@ -272,13 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn uniformized_step_preserves_mass() {
-        let g = three_state();
-        let pi = DVector::from_vec(vec![0.2, 0.3, 0.5]);
-        let lambda = 1.05 * g.max_exit_rate();
-        let next = g.uniformized_step(&pi, lambda);
-        assert!((next.sum() - 1.0).abs() < 1e-12);
-        assert!(next.iter().all(|p| p >= 0.0));
+    fn closed_class_copies_its_rows() {
+        // 0 -> {1 <-> 2}.
+        let g =
+            SparseGenerator::from_transitions(3, &[(0, 1, 1.0), (1, 2, 2.0), (2, 1, 3.0)]).unwrap();
+        let class = g.closed_class(&[1, 2]).unwrap();
+        assert_eq!(
+            class,
+            SparseGenerator::from_transitions(2, &[(0, 1, 2.0), (1, 0, 3.0)]).unwrap()
+        );
     }
 
     #[test]

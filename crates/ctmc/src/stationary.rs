@@ -1,39 +1,43 @@
-//! Limiting (stationary) distributions of irreducible CTMCs.
+//! Limiting (stationary) distributions of CTMCs.
 //!
 //! Theorem 2.1 of the paper: for an irreducible, positive-recurrent chain
 //! the limiting distribution is the unique solution of `πG = 0`,
-//! `Σ_j π_j = 1`. Six backends with different accuracy/robustness/speed
-//! trade-offs sit behind one [`Solver`] builder:
+//! `Σ_j π_j = 1`. [`Solver::solve`] classifies its input once (one Tarjan
+//! pass) and hands every backend an irreducible chain:
 //!
-//! * [`Method::Lu`] — direct solve of the balance equations (dense LU on a
-//!   [`Generator`], sparse LU on the reduced system for a
-//!   [`SparseGenerator`]);
+//! * an irreducible chain is solved as given;
+//! * a chain with one closed class and transient states still has a
+//!   unique limiting distribution, supported on the class: only the class
+//!   is solved, and `π` is exactly `0.0` on the transient states;
+//! * with several closed classes the limit depends on the initial
+//!   distribution, and the solve returns [`CtmcError::Reducible`]
+//!   ([`ChainFactors`] handles that case per class).
+//!
+//! Three backends sit behind the [`Solver`] builder:
+//!
 //! * [`Method::Gth`] — Grassmann–Taksar–Heyman elimination on the
 //!   uniformized chain (dense), or the sparse direct solve of the
-//!   uniformized balance system (sparse); subtraction-free in the dense
-//!   form, the method of choice for stiff chains;
-//! * [`Method::Power`] — power iteration on the uniformized chain;
+//!   normalization-row system (sparse); subtraction-free in the dense
+//!   form, the default;
 //! * [`Method::Iterative`] — Gauss–Seidel sweeps on the balance equations,
-//!   `O(nnz)` per sweep;
-//! * [`Method::BiCgStab`] / [`Method::Gmres`] — the preconditioned Krylov
-//!   tier (`dpm_linalg::krylov`): ILU(0)-preconditioned BiCGSTAB or
-//!   restarted GMRES(m) on the reduced balance system, the `O(nnz)` path
-//!   for generators of 10⁴–10⁶ states where direct fill-in and stationary
-//!   sweeps both give out.
+//!   `O(nnz)` per sweep, the fast method on stiff SYS chains;
+//! * [`Method::BiCgStab`] — ILU(0)-preconditioned BiCGSTAB with iterative
+//!   refinement (`dpm_linalg::krylov`) on the normalization-row system,
+//!   the `O(nnz)` path for generators of 10⁴–10⁶ states where direct
+//!   fill-in gives out.
 //!
 //! # The `Solver` builder
 //!
-//! [`Solver`] is the single entry point: pick a [`Method`], adjust
-//! [`SolverConfig`] knobs, optionally arm the escalation chain, and hand
-//! it a dense or sparse generator through [`GeneratorRef`] (both convert
-//! with `From`):
+//! Pick a [`Method`], adjust the tolerance and iteration budget,
+//! optionally arm the escalation chain, and hand it a dense or sparse
+//! generator through [`GeneratorRef`] (both convert with `From`):
 //!
 //! ```
 //! use dpm_ctmc::{stationary::{Method, Solver}, Generator};
 //!
 //! # fn main() -> Result<(), dpm_ctmc::CtmcError> {
 //! let g = Generator::builder(2).rate(0, 1, 1.0).rate(1, 0, 3.0).build()?;
-//! for method in [Method::Lu, Method::Gth, Method::BiCgStab, Method::Gmres] {
+//! for method in [Method::Gth, Method::Iterative, Method::BiCgStab] {
 //!     let (pi, stats) = Solver::new(method).solve(&g)?;
 //!     assert!((pi[0] - 0.75).abs() < 1e-8);
 //!     assert_eq!(stats.method(), method);
@@ -43,30 +47,25 @@
 //! ```
 //!
 //! With [`Solver::with_default_fallback`] the solve escalates through
-//! [`FALLBACK_CHAIN`] (dense) or [`SPARSE_FALLBACK_CHAIN`] (sparse) until
-//! a backend produces a distribution passing the residual guard — a
-//! stalled Krylov solve degrades to the sparse direct and GTH tiers
-//! automatically.
+//! [`FALLBACK_CHAIN`] until a backend produces a distribution passing the
+//! residual guard — a stalled Krylov solve degrades to the direct and
+//! Gauss–Seidel tiers automatically.
 
 use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
 use dpm_linalg::{CsrMatrix, DMatrix, DVector, LinalgError, Lu, SparseLu};
 
-use crate::{graph, CtmcError, Generator, SparseGenerator};
+use crate::graph::{self, Classes};
+use crate::{CtmcError, Generator, SparseGenerator};
 
-/// Margin applied to the uniformization constant by the GTH and power
-/// solvers.
+/// Margin applied to the uniformization constant by the dense GTH solver.
 const UNIFORMIZATION_MARGIN: f64 = 1.05;
 
 /// Default convergence tolerance: infinity norm of the per-sweep update
-/// for [`Method::Power`] / [`Method::Iterative`], relative residual for
-/// the Krylov methods.
+/// for [`Method::Iterative`], relative residual for [`Method::BiCgStab`].
 pub const DEFAULT_TOLERANCE: f64 = 1e-12;
 
 /// Default iteration budget (sweeps or Krylov matrix–vector products).
 pub const DEFAULT_MAX_ITERATIONS: usize = 1_000_000;
-
-/// Default GMRES restart length used by [`Method::Gmres`].
-pub const DEFAULT_RESTART: usize = 30;
 
 /// Iterative-refinement correction solves after a converged Krylov
 /// stationary solve (each one multiplies the forward-error reduction, and
@@ -76,35 +75,23 @@ const KRYLOV_REFINEMENT_STEPS: usize = 2;
 /// Solver backend selector for [`Solver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
-    /// Direct solve of the balance equations. Dense input: LU with the
-    /// normalization row, exact to rounding, `O(n³)` time / `O(n²)`
-    /// memory. Sparse input: [`dpm_linalg::SparseLu`] on the reduced
-    /// system (fix `π_{n-1}`), cost governed by fill-in.
-    Lu,
     /// Grassmann–Taksar–Heyman elimination on the uniformized chain.
     /// Subtraction-free in the dense form, the most robust choice on stiff
-    /// chains. Sparse input: the direct solve of the uniformized balance
-    /// system (same elimination as [`Method::Lu`] but on `G/Λ`, keeping
-    /// the no-transition guard and `O(1)`-scaled entries). The default.
+    /// chains, `O(n³)` time / `O(n²)` memory. Sparse input: the direct
+    /// solve ([`dpm_linalg::SparseLu`]) of the equilibrated
+    /// normalization-row system, cost governed by fill-in. The default.
     #[default]
     Gth,
-    /// Power iteration on the uniformized chain. Matrix-free: `O(nnz)` per
-    /// step on a sparse generator, but the step count grows with the
-    /// chain's stiffness (the uniformization constant is dominated by the
-    /// fastest rate).
-    Power,
     /// Gauss–Seidel sweeps directly on the balance equations `πG = 0`,
     /// normalizing each sweep. `O(nnz)` per sweep and robust to stiffness
     /// (each state is relaxed against its own exit rate).
     Iterative,
-    /// BiCGSTAB with ILU(0) preconditioning on the reduced balance
-    /// system. `O(nnz)` per iteration with short recurrences — the
-    /// lowest-memory Krylov tier for very large sparse generators.
+    /// BiCGSTAB with ILU(0) preconditioning and iterative refinement on
+    /// the normalization-row system. `O(nnz)` per iteration with short
+    /// recurrences — the lowest-memory tier for very large sparse
+    /// generators. A singular ILU(0) pivot downgrades the solve to
+    /// unpreconditioned iteration.
     BiCgStab,
-    /// Restarted GMRES(m) with ILU(0) preconditioning on the reduced
-    /// balance system. Stores `m + 1` basis vectors; the restart length is
-    /// [`SolverConfig::restart`].
-    Gmres,
 }
 
 impl Method {
@@ -112,98 +99,9 @@ impl Method {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Method::Lu => "lu",
             Method::Gth => "gth",
-            Method::Power => "power",
             Method::Iterative => "iterative",
             Method::BiCgStab => "bicgstab",
-            Method::Gmres => "gmres",
-        }
-    }
-
-    /// Parses the canonical name (as produced by [`Method::name`]);
-    /// returns `None` for anything else. This is the 1:1 mapping used by
-    /// the harness `--method` flag.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Method> {
-        match name {
-            "lu" => Some(Method::Lu),
-            "gth" => Some(Method::Gth),
-            "power" => Some(Method::Power),
-            "iterative" => Some(Method::Iterative),
-            "bicgstab" => Some(Method::BiCgStab),
-            "gmres" => Some(Method::Gmres),
-            _ => None,
-        }
-    }
-
-    /// `true` for the Krylov-subspace backends.
-    #[must_use]
-    pub fn is_krylov(self) -> bool {
-        matches!(self, Method::BiCgStab | Method::Gmres)
-    }
-}
-
-/// Preconditioner selector for the Krylov methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precond {
-    /// No preconditioning.
-    None,
-    /// ILU(0): incomplete LU on the system's own sparsity pattern. If the
-    /// factorization hits a singular pivot the solve deterministically
-    /// downgrades to unpreconditioned iteration. The default.
-    #[default]
-    Ilu0,
-}
-
-impl Precond {
-    /// Canonical lowercase name, stable for CLI flags and artifacts.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Precond::None => "none",
-            Precond::Ilu0 => "ilu0",
-        }
-    }
-
-    /// Parses the canonical name; the 1:1 mapping for `--precond`.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Precond> {
-        match name {
-            "none" => Some(Precond::None),
-            "ilu0" => Some(Precond::Ilu0),
-            _ => None,
-        }
-    }
-}
-
-/// Numerical knobs shared by every [`Solver`] backend (and reused by the
-/// policy-evaluation backends in `dpm-mdp`, so CLI flags map onto one
-/// struct instead of per-backend constants).
-///
-/// `tolerance` is the per-sweep update bound for the stationary
-/// iterations and the relative residual bound for the Krylov methods;
-/// `restart` and `precond` only affect [`Method::Gmres`] /
-/// [`Method::BiCgStab`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverConfig {
-    /// Convergence tolerance. Default [`DEFAULT_TOLERANCE`].
-    pub tolerance: f64,
-    /// Iteration budget. Default [`DEFAULT_MAX_ITERATIONS`].
-    pub max_iterations: usize,
-    /// GMRES restart length. Default [`DEFAULT_RESTART`].
-    pub restart: usize,
-    /// Krylov preconditioner. Default [`Precond::Ilu0`].
-    pub precond: Precond,
-}
-
-impl Default for SolverConfig {
-    fn default() -> SolverConfig {
-        SolverConfig {
-            tolerance: DEFAULT_TOLERANCE,
-            max_iterations: DEFAULT_MAX_ITERATIONS,
-            restart: DEFAULT_RESTART,
-            precond: Precond::default(),
         }
     }
 }
@@ -231,14 +129,44 @@ impl<'a> From<&'a SparseGenerator> for GeneratorRef<'a> {
     }
 }
 
+impl GeneratorRef<'_> {
+    fn n_states(self) -> usize {
+        match self {
+            GeneratorRef::Dense(g) => g.n_states(),
+            GeneratorRef::Sparse(g) => g.n_states(),
+        }
+    }
+
+    fn classes(self) -> Classes {
+        match self {
+            GeneratorRef::Dense(g) => graph::communicating_classes(g),
+            GeneratorRef::Sparse(g) => graph::communicating_classes_sparse(g),
+        }
+    }
+
+    fn max_exit_rate(self) -> f64 {
+        match self {
+            GeneratorRef::Dense(g) => g.max_exit_rate(),
+            GeneratorRef::Sparse(g) => g.max_exit_rate(),
+        }
+    }
+
+    fn residual(self, pi: &DVector) -> f64 {
+        match self {
+            GeneratorRef::Dense(g) => residual(g, pi),
+            GeneratorRef::Sparse(g) => residual_sparse(g, pi),
+        }
+    }
+}
+
 /// Diagnostics of one stationary solve — the telemetry layer's view of
 /// what the solver did, alongside the distribution itself.
 ///
-/// Direct methods ([`Method::Lu`], [`Method::Gth`]) report zero sweeps;
-/// the Krylov methods report matrix–vector products. The residual
-/// `‖πG‖_∞` is always computed a posteriori on the input representation,
-/// so it is an independent accuracy certificate rather than the solver's
-/// own stopping estimate.
+/// [`Method::Gth`] reports zero sweeps; [`Method::Iterative`] its
+/// Gauss–Seidel sweeps and [`Method::BiCgStab`] its matrix–vector
+/// products. The residual `‖πG‖_∞` is always computed a posteriori on the
+/// whole input generator, so it is an independent accuracy certificate
+/// rather than the solver's own stopping estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveStats {
     method: Method,
@@ -282,34 +210,21 @@ impl SolveStats {
     }
 }
 
-/// Ordered backend chain armed by [`Solver::with_default_fallback`] on
-/// dense input: direct LU first (fast, exact on well-conditioned chains),
-/// GTH second (subtraction-free, survives stiffness), power iteration
-/// last (needs only that the uniformized chain converges from a uniform
-/// start).
-pub const FALLBACK_CHAIN: [Method; 3] = [Method::Lu, Method::Gth, Method::Power];
-
-/// Ordered backend chain armed by [`Solver::with_default_fallback`] on
-/// sparse input. ILU(0)-preconditioned BiCGSTAB leads — it is the only
-/// `O(nnz)`-per-iteration tier that also converges fast on stiff chains —
-/// and a stalled Krylov solve degrades to the sparse direct solves, then
-/// Gauss–Seidel, then power iteration.
-pub const SPARSE_FALLBACK_CHAIN: [Method; 5] = [
-    Method::BiCgStab,
-    Method::Lu,
-    Method::Gth,
-    Method::Iterative,
-    Method::Power,
-];
+/// Ordered backend chain armed by [`Solver::with_default_fallback`], for
+/// dense and sparse input alike. ILU(0)-preconditioned BiCGSTAB leads —
+/// the only `O(nnz)`-per-iteration tier that also converges fast on most
+/// stiff chains — then the direct solve, then Gauss–Seidel, which is
+/// the only fast method on the stiffest SYS classes.
+pub const FALLBACK_CHAIN: [Method; 3] = [Method::BiCgStab, Method::Gth, Method::Iterative];
 
 /// Relative slack of the a-posteriori residual guard applied by the
-/// fallback chains: a candidate π is accepted only when
+/// fallback chain: a candidate π is accepted only when
 /// `‖πG‖∞ ≤ slack · max(1, max exit rate)`.
 const FALLBACK_RESIDUAL_SLACK: f64 = 1e-8;
 
-/// A configured stationary solve: method, numerical knobs, optional
-/// escalation chain and irreducibility check, applied to dense or sparse
-/// generators through one entry point.
+/// A configured stationary solve: method, tolerance, iteration budget,
+/// optional escalation chain and irreducibility check, applied to dense or
+/// sparse generators through one entry point.
 ///
 /// # Examples
 ///
@@ -332,87 +247,53 @@ const FALLBACK_RESIDUAL_SLACK: f64 = 1e-8;
 #[derive(Debug, Clone)]
 pub struct Solver {
     method: Method,
-    config: SolverConfig,
-    fallback: FallbackPolicy,
+    tolerance: f64,
+    max_iterations: usize,
+    fallback: bool,
     check_irreducible: bool,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum FallbackPolicy {
-    Off,
-    Default,
-    Chain(Vec<Method>),
-}
-
 impl Solver {
-    /// A solver using `method` with default [`SolverConfig`], no fallback
-    /// and no irreducibility check.
+    /// A solver using `method` with [`DEFAULT_TOLERANCE`],
+    /// [`DEFAULT_MAX_ITERATIONS`], no fallback and no irreducibility
+    /// check.
     #[must_use]
     pub fn new(method: Method) -> Solver {
         Solver {
             method,
-            config: SolverConfig::default(),
-            fallback: FallbackPolicy::Off,
+            tolerance: DEFAULT_TOLERANCE,
+            max_iterations: DEFAULT_MAX_ITERATIONS,
+            fallback: false,
             check_irreducible: false,
         }
     }
 
-    /// Sets the convergence tolerance (see [`SolverConfig::tolerance`]).
+    /// Sets the convergence tolerance (see [`DEFAULT_TOLERANCE`]).
     #[must_use]
     pub fn tolerance(mut self, tolerance: f64) -> Solver {
-        self.config.tolerance = tolerance;
+        self.tolerance = tolerance;
         self
     }
 
     /// Sets the iteration budget.
     #[must_use]
     pub fn max_iters(mut self, max_iterations: usize) -> Solver {
-        self.config.max_iterations = max_iterations;
+        self.max_iterations = max_iterations;
         self
     }
 
-    /// Sets the GMRES restart length.
-    #[must_use]
-    pub fn restart(mut self, restart: usize) -> Solver {
-        self.config.restart = restart;
-        self
-    }
-
-    /// Sets the Krylov preconditioner.
-    #[must_use]
-    pub fn precond(mut self, precond: Precond) -> Solver {
-        self.config.precond = precond;
-        self
-    }
-
-    /// Replaces the whole numerical configuration at once — the hook the
-    /// harness CLI and the `dpm-mdp` evaluation backends use to share one
-    /// options struct.
-    #[must_use]
-    pub fn config(mut self, config: SolverConfig) -> Solver {
-        self.config = config;
-        self
-    }
-
-    /// Arms escalation through an explicit method chain. The builder's
-    /// own method is tried first; chain members then follow in order
+    /// Arms escalation through [`FALLBACK_CHAIN`]. The builder's own
+    /// method is tried first; chain members then follow in order
     /// (duplicates of the first method are skipped).
     #[must_use]
-    pub fn fallback(mut self, chain: &[Method]) -> Solver {
-        self.fallback = FallbackPolicy::Chain(chain.to_vec());
-        self
-    }
-
-    /// Arms escalation through the representation's default chain
-    /// ([`FALLBACK_CHAIN`] dense, [`SPARSE_FALLBACK_CHAIN`] sparse).
-    #[must_use]
     pub fn with_default_fallback(mut self) -> Solver {
-        self.fallback = FallbackPolicy::Default;
+        self.fallback = true;
         self
     }
 
-    /// Verifies irreducibility before solving, reporting
-    /// [`CtmcError::Reducible`] with the class count otherwise.
+    /// Rejects every chain with more than one communicating class with
+    /// [`CtmcError::Reducible`], instead of solving the closed class of a
+    /// chain that has transient states.
     #[must_use]
     pub fn check_irreducible(mut self) -> Solver {
         self.check_irreducible = true;
@@ -421,102 +302,138 @@ impl Solver {
 
     /// Solves `πG = 0`, `Σπ = 1` on a dense or sparse generator.
     ///
-    /// Without fallback, the configured method's result is returned
-    /// as-is (with its a-posteriori residual in the stats). With
-    /// fallback, each backend's candidate must pass the validation
-    /// guard — entries finite and nonnegative, mass 1, residual within
-    /// the stiffness-scaled slack — or the next backend is tried.
+    /// A chain with transient states and one closed class is solved on
+    /// that class, in the input's representation; `π` is exactly `0.0` on
+    /// the transient states and the residual in the stats is taken on the
+    /// whole generator. Without fallback, the configured method's result
+    /// is returned as-is. With fallback, each backend's candidate must
+    /// pass the validation guard — entries finite and nonnegative, mass 1,
+    /// residual within the stiffness-scaled slack — or the next backend is
+    /// tried.
     ///
     /// # Errors
     ///
-    /// Propagates the backend's failure (singular system, degenerate
-    /// elimination, non-convergence, invalid chain);
-    /// [`CtmcError::Reducible`] if [`Solver::check_irreducible`] is armed
-    /// and the chain has more than one communicating class;
-    /// [`CtmcError::FallbackExhausted`] when an armed chain runs out of
-    /// backends.
+    /// [`CtmcError::Reducible`] if the chain has more than one closed
+    /// class (its limiting distribution is not unique), or more than one
+    /// communicating class when [`Solver::check_irreducible`] is armed;
+    /// [`CtmcError::InvalidParameter`] for a chain without states;
+    /// otherwise the backend's failure (degenerate elimination,
+    /// non-convergence), or [`CtmcError::FallbackExhausted`] when the
+    /// armed chain runs out of backends.
     pub fn solve<'a>(
         &self,
         generator: impl Into<GeneratorRef<'a>>,
     ) -> Result<(DVector, SolveStats), CtmcError> {
         let generator = generator.into();
-        if self.check_irreducible {
-            let classes = match generator {
-                GeneratorRef::Dense(g) => graph::communicating_classes(g).len(),
-                GeneratorRef::Sparse(g) => graph::communicating_classes_sparse(g).len(),
-            };
-            if classes != 1 {
-                return Err(CtmcError::Reducible { classes });
+        let classes = generator.classes();
+        if classes.is_empty() {
+            return Err(CtmcError::InvalidParameter {
+                reason: "cannot solve a chain with no states".to_owned(),
+            });
+        }
+        if classes.len() == 1 {
+            return self.solve_irreducible(generator);
+        }
+        let mut closed = classes.closed();
+        let members = match (closed.next(), closed.next()) {
+            (Some(members), None) if !self.check_irreducible => members,
+            _ => {
+                return Err(CtmcError::Reducible {
+                    classes: classes.len(),
+                })
+            }
+        };
+        let (class_pi, mut stats) = match generator {
+            GeneratorRef::Dense(g) => self.solve_irreducible((&g.closed_class(members)).into()),
+            GeneratorRef::Sparse(g) => self.solve_irreducible((&g.closed_class(members)?).into()),
+        }?;
+        let mut pi = DVector::zeros(generator.n_states());
+        for (&state, p) in members.iter().zip(class_pi.iter()) {
+            pi[state] = p;
+        }
+        stats.residual = generator.residual(&pi);
+        Ok((pi, stats))
+    }
+
+    /// [`Solver::solve`] on an irreducible chain.
+    fn solve_irreducible(
+        &self,
+        generator: GeneratorRef<'_>,
+    ) -> Result<(DVector, SolveStats), CtmcError> {
+        let stats = |method, sweeps, residual, escalation| SolveStats {
+            method,
+            sweeps,
+            residual,
+            escalation,
+        };
+        if generator.n_states() == 1 {
+            return Ok((
+                DVector::constant(1, 1.0),
+                stats(self.method, 0, 0.0, Vec::new()),
+            ));
+        }
+        let attempt = |method| match generator {
+            GeneratorRef::Dense(g) => self.attempt_dense(g, method),
+            GeneratorRef::Sparse(g) => self.attempt_sparse(g, method),
+        };
+        if !self.fallback {
+            let (pi, sweeps) = attempt(self.method)?;
+            let residual = generator.residual(&pi);
+            return Ok((pi, stats(self.method, sweeps, residual, Vec::new())));
+        }
+        let mut chain = vec![self.method];
+        chain.extend(FALLBACK_CHAIN.into_iter().filter(|&m| m != self.method));
+        let scale = generator.max_exit_rate();
+        let mut escalation: Vec<(Method, String)> = Vec::new();
+        for method in chain {
+            match attempt(method) {
+                Ok((pi, sweeps)) => {
+                    let residual = generator.residual(&pi);
+                    match distribution_flaw(&pi, residual, scale) {
+                        None => return Ok((pi, stats(method, sweeps, residual, escalation))),
+                        Some(flaw) => escalation.push((method, flaw)),
+                    }
+                }
+                Err(err) => escalation.push((method, err.to_string())),
             }
         }
-        let chain = self.effective_chain(generator);
-        let (chain, guard_escalation) = guard_krylov(chain, generator, self.check_irreducible);
-        match generator {
-            GeneratorRef::Dense(g) => {
-                if let [method] = chain.as_slice() {
-                    let (pi, sweeps) = attempt_dense(g, *method, &self.config)?;
-                    let residual = residual(g, &pi);
-                    return Ok((
-                        pi,
-                        SolveStats {
-                            method: *method,
-                            sweeps,
-                            residual,
-                            escalation: guard_escalation,
-                        },
-                    ));
-                }
-                run_fallback(
-                    &chain,
-                    max_abs_diagonal(g),
-                    guard_escalation,
-                    |method| attempt_dense(g, method, &self.config),
-                    |pi| residual(g, pi),
-                )
-            }
-            GeneratorRef::Sparse(g) => {
-                if let [method] = chain.as_slice() {
-                    let (pi, sweeps) = attempt_sparse(g, *method, &self.config)?;
-                    let residual = residual_sparse(g, &pi);
-                    return Ok((
-                        pi,
-                        SolveStats {
-                            method: *method,
-                            sweeps,
-                            residual,
-                            escalation: guard_escalation,
-                        },
-                    ));
-                }
-                run_fallback(
-                    &chain,
-                    g.max_exit_rate(),
-                    guard_escalation,
-                    |method| attempt_sparse(g, method, &self.config),
-                    |pi| residual_sparse(g, pi),
-                )
+        Err(CtmcError::FallbackExhausted {
+            attempts: escalation
+                .into_iter()
+                .map(|(m, e)| (format!("{m:?}"), e))
+                .collect(),
+        })
+    }
+
+    /// One backend attempt on an irreducible dense generator with at
+    /// least two states, returning (π, sweeps).
+    fn attempt_dense(
+        &self,
+        generator: &Generator,
+        method: Method,
+    ) -> Result<(DVector, usize), CtmcError> {
+        match method {
+            Method::Gth => Ok((dense_gth(generator)?, 0)),
+            Method::Iterative | Method::BiCgStab => {
+                self.attempt_sparse(&SparseGenerator::from_generator(generator), method)
             }
         }
     }
 
-    /// The ordered method list this solve will try: the builder's method
-    /// first, then the armed chain (minus duplicates of the first).
-    fn effective_chain(&self, generator: GeneratorRef<'_>) -> Vec<Method> {
-        let base: &[Method] = match &self.fallback {
-            FallbackPolicy::Off => return vec![self.method],
-            FallbackPolicy::Default => match generator {
-                GeneratorRef::Dense(_) => &FALLBACK_CHAIN,
-                GeneratorRef::Sparse(_) => &SPARSE_FALLBACK_CHAIN,
-            },
-            FallbackPolicy::Chain(chain) => chain,
-        };
-        let mut methods = vec![self.method];
-        for &m in base {
-            if !methods.contains(&m) {
-                methods.push(m);
+    /// One backend attempt on an irreducible sparse generator with at
+    /// least two states, returning (π, sweeps).
+    fn attempt_sparse(
+        &self,
+        generator: &SparseGenerator,
+        method: Method,
+    ) -> Result<(DVector, usize), CtmcError> {
+        match method {
+            Method::Gth => sparse_direct(generator),
+            Method::Iterative => {
+                sparse_gauss_seidel(generator, self.tolerance, self.max_iterations)
             }
+            Method::BiCgStab => sparse_bicgstab(generator, self.tolerance, self.max_iterations),
         }
-        methods
     }
 }
 
@@ -542,160 +459,11 @@ fn distribution_flaw(pi: &DVector, residual: f64, scale: f64) -> Option<String> 
     None
 }
 
-/// Krylov methods are only reliable on *irreducible* generators — on a
-/// reducible chain the normalization system is singular and BiCGSTAB can
-/// diverge outright (the measured gap from the Krylov tier's bench). When
-/// an unchecked solve is about to dispatch a Krylov method, run the
-/// Tarjan SCC pass up front; on a reducible generator every Krylov entry
-/// is dropped from the chain (each recorded as an escalation) and
-/// Gauss–Seidel is guaranteed a slot as the substitute workhorse.
-///
-/// `already_checked` short-circuits the pass when
-/// [`Solver::check_irreducible`] has established irreducibility (or
-/// errored) before dispatch.
-fn guard_krylov(
-    chain: Vec<Method>,
-    generator: GeneratorRef<'_>,
-    already_checked: bool,
-) -> (Vec<Method>, Vec<(Method, String)>) {
-    if already_checked || !chain.iter().any(|m| m.is_krylov()) {
-        return (chain, Vec::new());
-    }
-    let classes = match generator {
-        GeneratorRef::Dense(g) => graph::communicating_classes(g).len(),
-        GeneratorRef::Sparse(g) => graph::communicating_classes_sparse(g).len(),
-    };
-    if classes == 1 {
-        return (chain, Vec::new());
-    }
-    let mut escalation = Vec::new();
-    let mut guarded = Vec::new();
-    for method in chain {
-        if method.is_krylov() {
-            escalation.push((
-                method,
-                format!(
-                    "generator is reducible ({classes} communicating classes); \
-                     krylov dispatch skipped, gauss-seidel substituted"
-                ),
-            ));
-        } else {
-            guarded.push(method);
-        }
-    }
-    if !guarded.contains(&Method::Iterative) {
-        guarded.push(Method::Iterative);
-    }
-    (guarded, escalation)
-}
-
-fn run_fallback(
-    methods: &[Method],
-    scale: f64,
-    initial_escalation: Vec<(Method, String)>,
-    mut attempt: impl FnMut(Method) -> Result<(DVector, usize), CtmcError>,
-    residual_of: impl Fn(&DVector) -> f64,
-) -> Result<(DVector, SolveStats), CtmcError> {
-    let mut escalation: Vec<(Method, String)> = initial_escalation;
-    for &method in methods {
-        match attempt(method) {
-            Ok((pi, sweeps)) => {
-                let res = residual_of(&pi);
-                match distribution_flaw(&pi, res, scale) {
-                    None => {
-                        return Ok((
-                            pi,
-                            SolveStats {
-                                method,
-                                sweeps,
-                                residual: res,
-                                escalation,
-                            },
-                        ))
-                    }
-                    Some(flaw) => escalation.push((method, flaw)),
-                }
-            }
-            Err(err) => escalation.push((method, err.to_string())),
-        }
-    }
-    Err(CtmcError::FallbackExhausted {
-        attempts: escalation
-            .into_iter()
-            .map(|(m, e)| (format!("{m:?}"), e))
-            .collect(),
-    })
-}
-
-fn max_abs_diagonal(generator: &Generator) -> f64 {
-    let m = generator.matrix();
-    (0..generator.n_states())
-        .map(|i| m[(i, i)].abs())
-        .fold(0.0, f64::max)
-}
-
-/// One backend attempt on a dense generator, returning (π, sweeps).
-fn attempt_dense(
-    generator: &Generator,
-    method: Method,
-    config: &SolverConfig,
-) -> Result<(DVector, usize), CtmcError> {
-    match method {
-        Method::Lu => Ok((dense_lu(generator)?, 0)),
-        Method::Gth => Ok((dense_gth(generator)?, 0)),
-        Method::Power => Ok((
-            dense_power(generator, config.tolerance, config.max_iterations)?,
-            // The dense power path does not count its own steps; callers
-            // who need the count use the sparse representation.
-            0,
-        )),
-        Method::Iterative | Method::BiCgStab | Method::Gmres => {
-            attempt_sparse(&SparseGenerator::from_generator(generator), method, config)
-        }
-    }
-}
-
-/// One backend attempt on a sparse generator, returning (π, sweeps).
-fn attempt_sparse(
-    generator: &SparseGenerator,
-    method: Method,
-    config: &SolverConfig,
-) -> Result<(DVector, usize), CtmcError> {
-    match method {
-        Method::Lu => sparse_direct(generator),
-        Method::Gth => {
-            // Keep GTH's contract of rejecting transition-free chains
-            // before the factorization turns them into a singular solve.
-            uniformization_constant(generator)?;
-            sparse_direct(generator)
-        }
-        Method::Power => sparse_power(generator, config.tolerance, config.max_iterations),
-        Method::Iterative => {
-            sparse_gauss_seidel(generator, config.tolerance, config.max_iterations)
-        }
-        Method::BiCgStab | Method::Gmres => sparse_krylov(generator, method, config),
-    }
-}
-
-fn uniformization_constant(generator: &SparseGenerator) -> Result<f64, CtmcError> {
-    let lambda = UNIFORMIZATION_MARGIN * generator.max_exit_rate();
-    if lambda <= 0.0 {
-        return Err(CtmcError::InvalidParameter {
-            reason: "cannot uniformize a chain with no transitions".to_owned(),
-        });
-    }
-    Ok(lambda)
-}
-
 /// Sparse direct solve via [`SparseLu`] on the normalization-row system —
-/// the sparse `Method::Lu` and `Method::Gth` path (both resolve to this
-/// equilibrated solve; see [`normalization_system`]). No densification:
-/// memory follows the factor fill-in plus the single dense row, not `n²`.
+/// the sparse [`Method::Gth`] path (see [`normalization_system`]). No
+/// densification: memory follows the factor fill-in plus the single dense
+/// row, not `n²`.
 fn sparse_direct(generator: &SparseGenerator) -> Result<(DVector, usize), CtmcError> {
-    let n = generator.n_states();
-    if n == 1 {
-        return Ok((DVector::constant(1, 1.0), 0));
-    }
     let (a, b) = normalization_system(generator);
     let lu = SparseLu::new(&a).map_err(CtmcError::Numerical)?;
     let x = lu.solve(&b).map_err(CtmcError::Numerical)?;
@@ -767,45 +535,27 @@ fn finish_direct(x: &DVector) -> Result<DVector, CtmcError> {
     sanitize(pi)
 }
 
-/// Krylov solve (BiCGSTAB or GMRES per `method`) with optional ILU(0)
-/// preconditioning on the normalization-row system.
-fn sparse_krylov(
+/// ILU(0)-preconditioned BiCGSTAB on the normalization-row system,
+/// followed by iterative refinement.
+fn sparse_bicgstab(
     generator: &SparseGenerator,
-    method: Method,
-    config: &SolverConfig,
+    tolerance: f64,
+    max_iterations: usize,
 ) -> Result<(DVector, usize), CtmcError> {
-    let n = generator.n_states();
-    if n == 1 {
-        return Ok((DVector::constant(1, 1.0), 0));
-    }
-    // The all-zero generator would reduce to the normalization row alone
-    // and "converge" instantly to the uniform distribution; reject it
-    // like the uniformized methods do.
-    if generator.max_exit_rate() <= 0.0 {
-        return Err(CtmcError::InvalidParameter {
-            reason: "cannot solve a chain with no transitions".to_owned(),
-        });
-    }
     let (a, d) = normalization_system(generator);
     let options = KrylovOptions {
-        tolerance: config.tolerance,
-        max_iterations: config.max_iterations,
-        restart: config.restart,
+        tolerance,
+        max_iterations,
+        ..KrylovOptions::default()
     };
-    let precond = match config.precond {
-        Precond::Ilu0 => match Ilu0::new(&a) {
-            Ok(m) => Some(m),
-            // Deterministic downgrade: a singular ILU pivot means the
-            // pattern cannot support the factorization; iterate without it.
-            Err(dpm_linalg::LinalgError::Singular { .. }) => None,
-            Err(e) => return Err(CtmcError::Numerical(e)),
-        },
-        Precond::None => None,
+    let precond = match Ilu0::new(&a) {
+        Ok(m) => Some(m),
+        // Deterministic downgrade: a singular ILU pivot means the pattern
+        // cannot support the factorization; iterate without it.
+        Err(dpm_linalg::LinalgError::Singular { .. }) => None,
+        Err(e) => return Err(CtmcError::Numerical(e)),
     };
-    let solve = |rhs: &DVector| match method {
-        Method::Gmres => krylov::gmres(&a, rhs, precond.as_ref(), &options),
-        _ => krylov::bicgstab(&a, rhs, precond.as_ref(), &options),
-    };
+    let solve = |rhs: &DVector| krylov::bicgstab(&a, rhs, precond.as_ref(), &options);
     let result = solve(&d).map_err(CtmcError::Numerical)?;
     let mut x = result.solution;
     let mut iterations = result.iterations;
@@ -845,35 +595,10 @@ fn a_norm_inf(a: &CsrMatrix) -> f64 {
     norm
 }
 
-/// Power iteration `π ← π(I + G/Λ)` on the uniformized chain, matrix-free
-/// over the CSR storage.
-fn sparse_power(
-    generator: &SparseGenerator,
-    tolerance: f64,
-    max_iterations: usize,
-) -> Result<(DVector, usize), CtmcError> {
-    let n = generator.n_states();
-    let lambda = uniformization_constant(generator)?;
-    let mut pi = DVector::constant(n, 1.0 / n as f64);
-    for sweep in 1..=max_iterations {
-        let next = generator.uniformized_step(&pi, lambda);
-        let update = (&next - &pi).norm_inf();
-        pi = next;
-        if update <= tolerance {
-            return Ok((sanitize(pi)?, sweep));
-        }
-    }
-    Err(CtmcError::Numerical(
-        dpm_linalg::LinalgError::NotConverged {
-            iterations: max_iterations,
-            residual: residual_sparse(generator, &pi),
-        },
-    ))
-}
-
 /// Gauss–Seidel on the balance equations: sweep
 /// `π_i ← (Σ_{j≠i} π_j G_{ji}) / exit_i` over the rows of `Gᵀ`,
-/// renormalizing each sweep.
+/// renormalizing each sweep. Irreducibility keeps every exit rate
+/// positive.
 ///
 /// Unlike iterating the uniformized chain, the relaxation divides by each
 /// state's own exit rate, so convergence does not degrade when rates span
@@ -885,15 +610,6 @@ fn sparse_gauss_seidel(
     max_iterations: usize,
 ) -> Result<(DVector, usize), CtmcError> {
     let n = generator.n_states();
-    for i in 0..n {
-        if generator.exit_rate(i) <= 0.0 {
-            return Err(CtmcError::InvalidParameter {
-                reason: format!(
-                    "state {i} has zero exit rate; the iterative solver requires an irreducible chain"
-                ),
-            });
-        }
-    }
     let transpose = generator.csr().transpose();
     let mut pi = DVector::constant(n, 1.0 / n as f64);
     let mut previous = pi.clone();
@@ -940,37 +656,10 @@ pub fn residual_sparse(generator: &SparseGenerator, pi: &DVector) -> f64 {
     generator.csr().vec_mul(pi).norm_inf()
 }
 
-/// Dense direct solve: replace the last balance equation with the
-/// normalization constraint and LU-factorize.
-fn dense_lu(generator: &Generator) -> Result<DVector, CtmcError> {
-    let n = generator.n_states();
-    // πG = 0  ⟺  Gᵀ πᵀ = 0. Replace the last row of Gᵀ with 1s and solve
-    // against e_{n-1} to impose Σπ = 1.
-    let gt = generator.matrix().transpose();
-    let mut a = gt;
-    for c in 0..n {
-        a[(n - 1, c)] = 1.0;
-    }
-    let mut b = DVector::zeros(n);
-    b[n - 1] = 1.0;
-    let pi = a.lu()?.solve(&b)?;
-    sanitize(pi)
-}
-
 /// Dense GTH elimination via uniformization.
 fn dense_gth(generator: &Generator) -> Result<DVector, CtmcError> {
     let (dtmc, _) = generator.uniformize(UNIFORMIZATION_MARGIN)?;
     dtmc.stationary_gth()
-}
-
-/// Dense power iteration on the uniformized chain.
-fn dense_power(
-    generator: &Generator,
-    tolerance: f64,
-    max_iterations: usize,
-) -> Result<DVector, CtmcError> {
-    let (dtmc, _) = generator.uniformize(UNIFORMIZATION_MARGIN)?;
-    dtmc.stationary_power(tolerance, max_iterations)
 }
 
 /// Residual `‖πG‖_∞` of a candidate stationary vector — a cheap a-posteriori
@@ -992,61 +681,6 @@ pub fn residual(generator: &Generator, pi: &DVector) -> f64 {
 #[must_use]
 pub fn long_run_average(pi: &DVector, cost_rates: &DVector) -> f64 {
     pi.dot(cost_rates)
-}
-
-/// Long-run average of per-state cost rates `c` for a *unichain* chain
-/// (a single recurrent class plus arbitrarily many transient states),
-/// obtained from the gain/bias equations `c − g·1 + G v = 0`, `v_0 = 0`.
-///
-/// Unlike [`long_run_average`] this does not need the chain to be
-/// irreducible — policies that make parts of a decision process
-/// unreachable still have a well-defined average cost.
-///
-/// # Errors
-///
-/// Returns [`CtmcError::InvalidParameter`] on a length mismatch and
-/// [`CtmcError::Numerical`] if the equations are singular (multichain).
-///
-/// # Examples
-///
-/// ```
-/// use dpm_ctmc::{stationary, Generator};
-/// use dpm_linalg::DVector;
-///
-/// # fn main() -> Result<(), dpm_ctmc::CtmcError> {
-/// // State 0 is transient: 0 -> 1 <-> 2.
-/// let g = Generator::builder(3)
-///     .rate(0, 1, 1.0)
-///     .rate(1, 2, 1.0)
-///     .rate(2, 1, 1.0)
-///     .build()?;
-/// let costs = DVector::from_vec(vec![100.0, 2.0, 4.0]);
-/// // Long run: half the time in 1, half in 2; state 0 never returns.
-/// let avg = stationary::unichain_average(&g, &costs)?;
-/// assert!((avg - 3.0).abs() < 1e-10);
-/// # Ok(())
-/// # }
-/// ```
-pub fn unichain_average(generator: &Generator, costs: &DVector) -> Result<f64, CtmcError> {
-    let n = generator.n_states();
-    if costs.len() != n {
-        return Err(CtmcError::InvalidParameter {
-            reason: format!("cost vector length {} != {n}", costs.len()),
-        });
-    }
-    // Unknowns x = (g, v_1, ..., v_{n-1}) with v_0 = 0; equation per state:
-    //   -g + Σ_j G_ij v_j = -c_i
-    let mut a = dpm_linalg::DMatrix::zeros(n, n);
-    let mut b = DVector::zeros(n);
-    for i in 0..n {
-        a[(i, 0)] = -1.0;
-        for j in 1..n {
-            a[(i, j)] = generator.rate(i, j);
-        }
-        b[i] = -costs[i];
-    }
-    let x = a.lu().map_err(CtmcError::Numerical)?.solve(&b)?;
-    Ok(x[0])
 }
 
 /// Per-state long-run average cost (the *gain vector*) for an arbitrary —
@@ -1202,19 +836,12 @@ impl ChainFactors {
         let n = generator.n_states();
         let csr = generator.csr();
         let classes = graph::communicating_classes_sparse(generator);
-        // A class is closed iff no transition leaves it.
-        let mut is_closed = vec![true; classes.len()];
-        for (from, to, _) in generator.transitions() {
-            if classes.class_of(from) != classes.class_of(to) {
-                is_closed[classes.class_of(from)] = false;
-            }
-        }
         // `local[j]`: position of state `j` inside the block it belongs to.
         let mut local = vec![0usize; n];
         let mut recurrent = vec![false; n];
         let mut closed = Vec::new();
-        for c in (0..classes.len()).filter(|&c| is_closed[c]) {
-            let members = classes.members(c).to_vec();
+        for members in classes.closed() {
+            let members = members.to_vec();
             for (l, &state) in members.iter().enumerate() {
                 local[state] = l;
                 recurrent[state] = true;
@@ -1239,11 +866,11 @@ impl ChainFactors {
             let factor = match Lu::new(a) {
                 Ok(lu) => ClassFactor::Lu { lu, scale },
                 Err(LinalgError::Singular { pivot }) => {
-                    let sub = class_generator(generator, &members, &local)?;
+                    let sub = generator.closed_class(&members)?.to_generator()?;
                     // Closed classes inherit whatever conditioning the
                     // policy induced; escalate through the fallback chain
                     // rather than letting one class abort the gains.
-                    let (pi, stats) = Solver::new(Method::Lu)
+                    let (pi, stats) = Solver::new(Method::Gth)
                         .with_default_fallback()
                         .solve(&sub)?;
                     ClassFactor::Stationary { pi, stats, pivot }
@@ -1414,24 +1041,6 @@ pub fn gain_scale(max_abs: f64) -> f64 {
     f64::from_bits(max_abs.max(1.0).to_bits() & !((1u64 << 52) - 1))
 }
 
-/// The dense generator of the closed class `members` (whose local
-/// positions are in `local`), for the stationary fallback.
-fn class_generator(
-    generator: &SparseGenerator,
-    members: &[usize],
-    local: &[usize],
-) -> Result<Generator, CtmcError> {
-    let mut b = Generator::builder(members.len());
-    for (row, &i) in members.iter().enumerate() {
-        for (j, rate) in generator.csr().row(i) {
-            if j != i && rate > 0.0 {
-                b.add_rate(row, local[j], rate);
-            }
-        }
-    }
-    b.build()
-}
-
 fn sanitize(mut pi: DVector) -> Result<DVector, CtmcError> {
     // Clamp tiny negative round-off and renormalize.
     for x in pi.as_mut_slice() {
@@ -1484,6 +1093,8 @@ mod tests {
     use super::*;
     use crate::birth_death;
 
+    const ALL_METHODS: [Method; 3] = [Method::Gth, Method::Iterative, Method::BiCgStab];
+
     fn three_state() -> Generator {
         Generator::builder(3)
             .rate(0, 1, 2.0)
@@ -1499,26 +1110,11 @@ mod tests {
     }
 
     #[test]
-    fn lu_satisfies_balance() {
+    fn gth_satisfies_balance() {
         let g = three_state();
-        let pi = pi_of(Method::Lu, &g);
+        let pi = pi_of(Method::Gth, &g);
         assert!(residual(&g, &pi) < 1e-12);
         assert!((pi.sum() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn direct_solvers_agree() {
-        let g = three_state();
-        let lu = pi_of(Method::Lu, &g);
-        let gth = pi_of(Method::Gth, &g);
-        let pow = Solver::new(Method::Power)
-            .tolerance(1e-14)
-            .max_iters(1_000_000)
-            .solve(&g)
-            .unwrap()
-            .0;
-        assert!((&lu - &gth).norm_inf() < 1e-10);
-        assert!((&lu - &pow).norm_inf() < 1e-8);
     }
 
     #[test]
@@ -1576,9 +1172,16 @@ mod tests {
         ));
     }
 
-    /// Reducible with a unique stationary distribution: `{0,1}` is
-    /// transient, `{2,3}` the single closed class, every state keeps a
-    /// positive exit rate so Gauss–Seidel stays applicable.
+    #[test]
+    fn checked_accepts_irreducible() {
+        let (pi, _) = Solver::new(Method::Gth)
+            .check_irreducible()
+            .solve(&three_state())
+            .unwrap();
+        assert!((pi.sum() - 1.0).abs() < 1e-12);
+    }
+
+    /// Unichain: `{0,1}` is transient, `{2,3}` the single closed class.
     fn sparse_reducible_unichain() -> SparseGenerator {
         SparseGenerator::from_transitions(
             4,
@@ -1594,55 +1197,57 @@ mod tests {
     }
 
     #[test]
-    fn krylov_guard_escalates_to_gauss_seidel_on_reducible() {
-        let g = sparse_reducible_unichain();
-        let (pi, stats) = Solver::new(Method::BiCgStab).solve(&g).unwrap();
-        // The guard swapped the reducible Krylov dispatch for Gauss–Seidel
-        // and recorded the escalation.
-        assert_eq!(stats.method(), Method::Iterative);
-        assert!(stats.escalated());
-        assert_eq!(stats.escalation()[0].0, Method::BiCgStab);
-        assert!(stats.escalation()[0].1.contains("reducible"));
-        // Hand-balanced reference: mass concentrates on the closed class
-        // `{2,3}` with detailed balance `2 π₂ = π₃`.
+    fn unichain_input_solves_only_the_closed_class() {
+        let sparse = sparse_reducible_unichain();
+        let dense = sparse.to_generator().unwrap();
+        // Detailed balance on the class: `2 π₂ = π₃`.
         let reference = [0.0, 0.0, 1.0 / 3.0, 2.0 / 3.0];
-        for i in 0..4 {
-            assert!((pi[i] - reference[i]).abs() < 1e-8, "state {i}: {}", pi[i]);
+        for method in ALL_METHODS {
+            for (pi, stats) in [
+                Solver::new(method).solve(&sparse).unwrap(),
+                Solver::new(method).solve(&dense).unwrap(),
+            ] {
+                assert_eq!(stats.method(), method);
+                assert!(!stats.escalated());
+                assert_eq!((pi[0], pi[1]), (0.0, 0.0), "{method:?}");
+                for i in 2..4 {
+                    assert!((pi[i] - reference[i]).abs() < 1e-12, "{method:?} {i}");
+                }
+                assert_eq!(stats.residual(), residual_sparse(&sparse, &pi));
+            }
         }
     }
 
     #[test]
-    fn krylov_guard_leaves_irreducible_chains_alone() {
-        let g = SparseGenerator::from_generator(&three_state());
-        let (_, stats) = Solver::new(Method::BiCgStab).solve(&g).unwrap();
-        assert_eq!(stats.method(), Method::BiCgStab);
-        assert!(!stats.escalated());
+    fn absorbing_state_is_a_point_mass() {
+        let g =
+            SparseGenerator::from_transitions(3, &[(0, 1, 1.0), (0, 2, 2.0), (2, 1, 5.0)]).unwrap();
+        for method in ALL_METHODS {
+            let (pi, stats) = Solver::new(method).solve(&g).unwrap();
+            assert_eq!(pi.as_slice(), &[0.0, 1.0, 0.0], "{method:?}");
+            assert_eq!(stats.residual(), 0.0);
+        }
     }
 
     #[test]
-    fn krylov_guard_reshapes_the_fallback_chain() {
-        let g = sparse_reducible_unichain();
-        let (pi, stats) = Solver::new(Method::BiCgStab)
-            .with_default_fallback()
-            .solve(&g)
-            .unwrap();
-        // BiCGSTAB (and every other Krylov member) was never dispatched;
-        // the escalation log leads with the guard's entry.
-        assert!(stats
-            .escalation()
-            .iter()
-            .any(|(m, why)| { *m == Method::BiCgStab && why.contains("reducible") }));
-        assert!(!stats.method().is_krylov());
-        assert!((pi.sum() - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn checked_accepts_irreducible() {
-        let (pi, _) = Solver::new(Method::Gth)
-            .check_irreducible()
-            .solve(&three_state())
-            .unwrap();
-        assert!((pi.sum() - 1.0).abs() < 1e-12);
+    fn several_closed_classes_are_reducible_on_every_path() {
+        // Two closed classes, {0, 1} and {3}, fed by transient state 2.
+        let sparse = SparseGenerator::from_transitions(
+            4,
+            &[(0, 1, 1.0), (1, 0, 2.0), (2, 0, 1.0), (2, 3, 1.0)],
+        )
+        .unwrap();
+        let dense = sparse.to_generator().unwrap();
+        for method in ALL_METHODS {
+            for solver in [
+                Solver::new(method),
+                Solver::new(method).with_default_fallback(),
+            ] {
+                for result in [solver.solve(&sparse), solver.solve(&dense)] {
+                    assert_eq!(result, Err(CtmcError::Reducible { classes: 3 }));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1656,31 +1261,6 @@ mod tests {
     fn mm1k_generator_validates() {
         assert!(mm1k_generator(0.0, 1.0, 3).is_err());
         assert!(mm1k_generator(1.0, 1.0, 0).is_err());
-    }
-}
-
-#[cfg(test)]
-mod solver_api_tests {
-    use super::*;
-    use crate::birth_death;
-
-    const ALL_METHODS: [Method; 6] = [
-        Method::Lu,
-        Method::Gth,
-        Method::Power,
-        Method::Iterative,
-        Method::BiCgStab,
-        Method::Gmres,
-    ];
-
-    fn three_state() -> Generator {
-        Generator::builder(3)
-            .rate(0, 1, 2.0)
-            .rate(1, 2, 1.0)
-            .rate(2, 0, 4.0)
-            .rate(1, 0, 0.5)
-            .build()
-            .unwrap()
     }
 
     #[test]
@@ -1713,25 +1293,15 @@ mod solver_api_tests {
     #[test]
     fn default_method_is_gth() {
         assert_eq!(Method::default(), Method::Gth);
+        let names: Vec<&str> = ALL_METHODS.iter().map(|m| m.name()).collect();
+        assert_eq!(names, ["gth", "iterative", "bicgstab"]);
     }
 
     #[test]
-    fn method_names_round_trip() {
-        for method in ALL_METHODS {
-            assert_eq!(Method::parse(method.name()), Some(method));
-        }
-        assert_eq!(Method::parse("qr"), None);
-        for precond in [Precond::None, Precond::Ilu0] {
-            assert_eq!(Precond::parse(precond.name()), Some(precond));
-        }
-        assert_eq!(Precond::parse("ssor"), None);
-    }
-
-    #[test]
-    fn sparse_direct_no_longer_densifies_semantics() {
-        // A chain big enough that the old densifying path would be O(n²)
+    fn sparse_direct_does_not_densify() {
+        // A chain big enough that a densifying path would be O(n²)
         // memory; the sparse direct path must solve it and agree with the
-        // iterative tier.
+        // Krylov tier.
         let n = 2_000;
         let mut transitions = Vec::new();
         for i in 0..n - 1 {
@@ -1740,12 +1310,10 @@ mod solver_api_tests {
         }
         transitions.push((n - 1, 0, 0.05));
         let g = SparseGenerator::from_transitions(n, &transitions).unwrap();
-        let (lu, _) = Solver::new(Method::Lu).solve(&g).unwrap();
-        let (gth, _) = Solver::new(Method::Gth).solve(&g).unwrap();
+        let (direct, _) = Solver::new(Method::Gth).solve(&g).unwrap();
         let (krylov, _) = Solver::new(Method::BiCgStab).solve(&g).unwrap();
-        assert!((&lu - &gth).norm_inf() < 1e-10);
-        assert!((&lu - &krylov).norm_inf() < 1e-8);
-        assert!(residual_sparse(&g, &lu) < 1e-10);
+        assert!((&direct - &krylov).norm_inf() < 1e-8);
+        assert!(residual_sparse(&g, &direct) < 1e-10);
     }
 
     #[test]
@@ -1759,43 +1327,22 @@ mod solver_api_tests {
             .unwrap();
         let sparse = SparseGenerator::from_generator(&g);
         let (reference, _) = Solver::new(Method::Gth).solve(&g).unwrap();
-        for method in [Method::BiCgStab, Method::Gmres] {
-            let (pi, _) = Solver::new(method).solve(&sparse).unwrap();
-            assert!(
-                (&pi - &reference).norm_inf() < 1e-8,
-                "{method:?} on stiff chain"
-            );
-        }
+        let (pi, stats) = Solver::new(Method::BiCgStab).solve(&sparse).unwrap();
+        assert!((&pi - &reference).norm_inf() < 1e-8);
+        assert!(stats.sweeps() > 0);
     }
 
     #[test]
-    fn krylov_precond_none_matches_ilu0() {
-        let g = mm1k_generator(0.7, 1.0, 30).unwrap();
-        let sparse = SparseGenerator::from_generator(&g);
-        let (with_ilu, _) = Solver::new(Method::Gmres).solve(&sparse).unwrap();
-        let (without, _) = Solver::new(Method::Gmres)
-            .precond(Precond::None)
-            .solve(&sparse)
-            .unwrap();
-        assert!((&with_ilu - &without).norm_inf() < 1e-9);
-    }
-
-    #[test]
-    fn krylov_reports_iterations_in_sweeps() {
-        let g = mm1k_generator(0.6, 1.0, 50).unwrap();
-        let sparse = SparseGenerator::from_generator(&g);
-        for method in [Method::BiCgStab, Method::Gmres] {
-            let (_, stats) = Solver::new(method).solve(&sparse).unwrap();
-            assert!(stats.sweeps() > 0, "{method:?} reported no iterations");
-        }
-    }
-
-    #[test]
-    fn krylov_rejects_empty_chain() {
+    fn chain_without_transitions_is_reducible() {
         let g = SparseGenerator::from_transitions(3, &[]).unwrap();
-        for method in [Method::BiCgStab, Method::Gmres] {
-            assert!(matches!(
+        let empty = SparseGenerator::from_transitions(0, &[]).unwrap();
+        for method in ALL_METHODS {
+            assert_eq!(
                 Solver::new(method).solve(&g),
+                Err(CtmcError::Reducible { classes: 3 })
+            );
+            assert!(matches!(
+                Solver::new(method).solve(&empty),
                 Err(CtmcError::InvalidParameter { .. })
             ));
         }
@@ -1803,10 +1350,16 @@ mod solver_api_tests {
 
     #[test]
     fn single_state_chain_is_trivial() {
-        let g = SparseGenerator::from_transitions(1, &[]).unwrap();
-        for method in [Method::Lu, Method::BiCgStab, Method::Gmres] {
-            let (pi, _) = Solver::new(method).solve(&g).unwrap();
-            assert_eq!(pi.as_slice(), &[1.0]);
+        let sparse = SparseGenerator::from_transitions(1, &[]).unwrap();
+        let dense = sparse.to_generator().unwrap();
+        for method in ALL_METHODS {
+            for (pi, stats) in [
+                Solver::new(method).solve(&sparse).unwrap(),
+                Solver::new(method).solve(&dense).unwrap(),
+            ] {
+                assert_eq!(pi.as_slice(), &[1.0]);
+                assert_eq!(stats.sweeps(), 0);
+            }
         }
     }
 
@@ -1839,46 +1392,26 @@ mod solver_api_tests {
     }
 
     #[test]
-    fn iterative_rejects_absorbing_state() {
-        let g = SparseGenerator::from_transitions(2, &[(0, 1, 1.0)]).unwrap();
-        assert!(matches!(
-            Solver::new(Method::Iterative).solve(&g),
-            Err(CtmcError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn power_rejects_empty_chain() {
-        let g = SparseGenerator::from_transitions(2, &[]).unwrap();
-        assert!(matches!(
-            Solver::new(Method::Power).solve(&g),
-            Err(CtmcError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
     fn stats_report_sweeps_and_residual() {
         let g = three_state();
         let sparse = SparseGenerator::from_generator(&g);
-        for method in [Method::Power, Method::Iterative] {
+        for method in [Method::Iterative, Method::BiCgStab] {
             let (pi, stats) = Solver::new(method).solve(&sparse).unwrap();
             assert_eq!(stats.method(), method);
             assert!(stats.sweeps() > 0, "{method:?} reported no sweeps");
             assert!(stats.residual() < 1e-8, "{method:?}: {}", stats.residual());
-            assert!((stats.residual() - residual_sparse(&sparse, &pi)).abs() < 1e-15);
+            assert_eq!(stats.residual(), residual_sparse(&sparse, &pi));
         }
     }
 
     #[test]
-    fn direct_methods_report_zero_sweeps() {
+    fn direct_method_reports_zero_sweeps() {
         let g = three_state();
         let sparse = SparseGenerator::from_generator(&g);
-        for method in [Method::Lu, Method::Gth] {
-            let (_, stats) = Solver::new(method).solve(&sparse).unwrap();
-            assert_eq!(stats.sweeps(), 0);
-            assert!(stats.residual() < 1e-10);
-        }
-        let (_, dense_stats) = Solver::new(Method::Lu).solve(&g).unwrap();
+        let (_, stats) = Solver::new(Method::Gth).solve(&sparse).unwrap();
+        assert_eq!(stats.sweeps(), 0);
+        assert!(stats.residual() < 1e-10);
+        let (_, dense_stats) = Solver::new(Method::Gth).solve(&g).unwrap();
         assert_eq!(dense_stats.sweeps(), 0);
         assert!(dense_stats.residual() < 1e-10);
     }
@@ -1920,29 +1453,10 @@ mod fallback_tests {
             .unwrap()
     }
 
-    fn dense_fallback(g: &Generator) -> Result<(DVector, SolveStats), CtmcError> {
+    fn fallback<'a>(g: impl Into<GeneratorRef<'a>>) -> Result<(DVector, SolveStats), CtmcError> {
         Solver::new(FALLBACK_CHAIN[0])
             .with_default_fallback()
             .solve(g)
-    }
-
-    fn sparse_fallback(g: &SparseGenerator) -> Result<(DVector, SolveStats), CtmcError> {
-        Solver::new(SPARSE_FALLBACK_CHAIN[0])
-            .with_default_fallback()
-            .solve(g)
-    }
-
-    /// Two disjoint 2-state recurrent classes: the LU system is singular
-    /// and GTH elimination degenerates, but a stationary distribution
-    /// (a mixture over the classes) still exists.
-    fn reducible_two_classes() -> Generator {
-        Generator::builder(4)
-            .rate(0, 1, 1.0)
-            .rate(1, 0, 2.0)
-            .rate(2, 3, 3.0)
-            .rate(3, 2, 1.0)
-            .build()
-            .unwrap()
     }
 
     /// Two 2-state clusters tied by 1e-9 coupling rates: irreducible, but
@@ -1970,52 +1484,53 @@ mod fallback_tests {
     #[test]
     fn well_conditioned_chain_takes_first_method() {
         let g = three_state();
-        let (pi, stats) = dense_fallback(&g).unwrap();
-        assert_eq!(stats.method(), Method::Lu);
-        assert!(!stats.escalated());
         let (gth, _) = Solver::new(Method::Gth).solve(&g).unwrap();
-        assert!((&pi - &gth).norm_inf() < 1e-10);
+        let sparse = SparseGenerator::from_generator(&g);
+        for (pi, stats) in [fallback(&g).unwrap(), fallback(&sparse).unwrap()] {
+            assert_eq!(stats.method(), Method::BiCgStab);
+            assert!(!stats.escalated());
+            assert_valid_distribution(&pi);
+            assert!((&pi - &gth).norm_inf() < 1e-10);
+        }
     }
 
     #[test]
-    fn sparse_chain_leads_with_krylov() {
-        let g = SparseGenerator::from_generator(&three_state());
-        let (pi, stats) = sparse_fallback(&g).unwrap();
-        assert_eq!(stats.method(), Method::BiCgStab);
-        assert!(!stats.escalated());
-        assert_valid_distribution(&pi);
+    fn builder_method_is_tried_first() {
+        let (_, stats) = Solver::new(Method::Iterative)
+            .with_default_fallback()
+            .solve(&three_state())
+            .unwrap();
+        assert_eq!(stats.method(), Method::Iterative);
     }
 
     #[test]
-    fn custom_chain_is_respected() {
-        let g = three_state();
-        let (_, stats) = Solver::new(Method::Power)
-            .tolerance(1e-13)
-            .fallback(&[Method::Gth])
+    fn starved_krylov_escalates_to_gth() {
+        // A ring with chords: ILU(0) drops fill-in, so one BiCGSTAB step
+        // cannot converge.
+        let g = SparseGenerator::from_transitions(
+            6,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 2.0),
+                (2, 3, 3.0),
+                (3, 4, 1.0),
+                (4, 5, 2.0),
+                (5, 0, 1.0),
+                (0, 3, 0.5),
+                (4, 1, 0.7),
+                (2, 5, 0.3),
+            ],
+        )
+        .unwrap();
+        let (pi, stats) = Solver::new(Method::BiCgStab)
+            .max_iters(1)
+            .with_default_fallback()
             .solve(&g)
             .unwrap();
-        // Power converges here, so it wins before the chain continues.
-        assert_eq!(stats.method(), Method::Power);
-    }
-
-    #[test]
-    fn reducible_chain_escalates_past_singular_lu() {
-        let g = reducible_two_classes();
-        // The direct path rejects this outright...
-        assert!(matches!(
-            Solver::new(Method::Lu).solve(&g),
-            Err(CtmcError::Numerical(
-                dpm_linalg::LinalgError::Singular { .. }
-            ))
-        ));
-        // ...but the fallback chain still produces a stationary mixture.
-        let (pi, stats) = dense_fallback(&g).unwrap();
-        assert_valid_distribution(&pi);
-        assert!(residual(&g, &pi) < 1e-8);
-        assert!(stats.escalated());
+        assert_eq!(stats.method(), Method::Gth);
         let tried: Vec<Method> = stats.escalation().iter().map(|(m, _)| *m).collect();
-        assert!(tried.contains(&Method::Lu), "escalation {tried:?}");
-        assert_ne!(stats.method(), Method::Lu);
+        assert_eq!(tried, [Method::BiCgStab]);
+        assert_valid_distribution(&pi);
     }
 
     #[test]
@@ -2034,13 +1549,13 @@ mod fallback_tests {
             other => panic!("expected NotConverged, got {other:?}"),
         }
         // The fallback chain solves it: preconditioned BiCGSTAB handles the
-        // 1e-9 coupling (ILU(0) on the 3×3 reduced system is nearly exact),
-        // and sparse LU backs it up.
-        let (pi, stats) = sparse_fallback(&sparse).unwrap();
+        // 1e-9 coupling (ILU(0) on the 4×4 system is nearly exact), and
+        // the direct solve backs it up.
+        let (pi, stats) = fallback(&sparse).unwrap();
         assert_valid_distribution(&pi);
         assert!(residual_sparse(&sparse, &pi) < 1e-10);
         assert!(
-            matches!(stats.method(), Method::BiCgStab | Method::Lu),
+            matches!(stats.method(), Method::BiCgStab | Method::Gth),
             "unexpected winner {:?}",
             stats.method()
         );
@@ -2055,26 +1570,34 @@ mod fallback_tests {
             .rate(2, 0, 1.0)
             .build()
             .unwrap();
-        let (pi, stats) = dense_fallback(&g).unwrap();
+        let (pi, stats) = fallback(&g).unwrap();
         assert_valid_distribution(&pi);
         assert!(stats.residual() <= FALLBACK_RESIDUAL_SLACK * 1e5 * 1.05);
         let sparse = SparseGenerator::from_generator(&g);
-        let (pi_s, _) = sparse_fallback(&sparse).unwrap();
+        let (pi_s, _) = fallback(&sparse).unwrap();
         assert!((&pi - &pi_s).norm_inf() < 1e-8);
     }
 
     #[test]
     fn exhaustion_reports_every_attempt() {
-        // An empty chain: no method can make progress, so every chain
-        // member must appear in the error with its reason.
-        let g = SparseGenerator::from_transitions(3, &[]).unwrap();
-        let err = sparse_fallback(&g).unwrap_err();
+        // Irreducible, but 1e-300 / 1.05e300 underflows in the uniformized
+        // chain, so dense GTH degenerates; a zero iteration budget stops
+        // the two iterative methods.
+        let g = Generator::builder(2)
+            .rate(0, 1, 1e300)
+            .rate(1, 0, 1e-300)
+            .build()
+            .unwrap();
+        let err = Solver::new(Method::BiCgStab)
+            .max_iters(0)
+            .with_default_fallback()
+            .solve(&g)
+            .unwrap_err();
         match err {
             CtmcError::FallbackExhausted { attempts } => {
-                assert_eq!(attempts.len(), SPARSE_FALLBACK_CHAIN.len());
-                for (method, reason) in &attempts {
-                    assert!(!method.is_empty() && !reason.is_empty());
-                }
+                let methods: Vec<&str> = attempts.iter().map(|(m, _)| m.as_str()).collect();
+                assert_eq!(methods, ["BiCgStab", "Gth", "Iterative"]);
+                assert!(attempts[1].1.contains("GTH elimination degenerate"));
             }
             other => panic!("expected FallbackExhausted, got {other:?}"),
         }
@@ -2082,7 +1605,19 @@ mod fallback_tests {
 
     #[test]
     fn gain_vector_survives_reducible_closed_classes() {
-        let g = reducible_two_classes();
+        // Two disjoint 2-state closed classes: no unique stationary
+        // distribution, but a gain per class.
+        let g = Generator::builder(4)
+            .rate(0, 1, 1.0)
+            .rate(1, 0, 2.0)
+            .rate(2, 3, 3.0)
+            .rate(3, 2, 1.0)
+            .build()
+            .unwrap();
+        assert_eq!(
+            fallback(&g).unwrap_err(),
+            CtmcError::Reducible { classes: 2 }
+        );
         let c = DVector::from_vec(vec![2.0, 4.0, 0.0, 8.0]);
         let gains = gain_vector(&g, &c).unwrap();
         // Class {0,1}: π = (2/3, 1/3) → gain 8/3; class {2,3}: π = (1/4, 3/4) → 6.
@@ -2092,75 +1627,11 @@ mod fallback_tests {
 }
 
 #[cfg(test)]
-mod unichain_tests {
-    use super::*;
-
-    fn lu_pi(g: &Generator) -> DVector {
-        Solver::new(Method::Lu).solve(g).unwrap().0
-    }
-
-    #[test]
-    fn unichain_average_matches_irreducible_solution() {
-        let g = Generator::builder(2)
-            .rate(0, 1, 1.0)
-            .rate(1, 0, 3.0)
-            .build()
-            .unwrap();
-        let c = DVector::from_vec(vec![4.0, 0.0]);
-        let via_pi = long_run_average(&lu_pi(&g), &c);
-        let via_gain = unichain_average(&g, &c).unwrap();
-        assert!((via_pi - via_gain).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unichain_average_ignores_transient_costs() {
-        let g = Generator::builder(3)
-            .rate(0, 1, 5.0)
-            .rate(1, 2, 1.0)
-            .rate(2, 1, 1.0)
-            .build()
-            .unwrap();
-        let c = DVector::from_vec(vec![1e9, 1.0, 3.0]);
-        assert!((unichain_average(&g, &c).unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unichain_average_of_absorbing_state() {
-        let g = Generator::builder(2).rate(0, 1, 2.0).build().unwrap();
-        let c = DVector::from_vec(vec![7.0, 1.5]);
-        assert!((unichain_average(&g, &c).unwrap() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unichain_average_validates_length() {
-        let g = Generator::builder(2)
-            .rate(0, 1, 1.0)
-            .rate(1, 0, 1.0)
-            .build()
-            .unwrap();
-        assert!(unichain_average(&g, &DVector::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn unichain_average_rejects_multichain() {
-        // Two disjoint recurrent classes: 0<->1 and 2<->3.
-        let g = Generator::builder(4)
-            .rate(0, 1, 1.0)
-            .rate(1, 0, 1.0)
-            .rate(2, 3, 1.0)
-            .rate(3, 2, 1.0)
-            .build()
-            .unwrap();
-        assert!(unichain_average(&g, &DVector::zeros(4)).is_err());
-    }
-}
-
-#[cfg(test)]
 mod gain_vector_tests {
     use super::*;
 
     #[test]
-    fn gain_vector_matches_unichain_average_on_unichain_chains() {
+    fn gain_vector_matches_the_stationary_average_on_unichain_chains() {
         let g = Generator::builder(3)
             .rate(0, 1, 1.0)
             .rate(1, 2, 2.0)
@@ -2169,7 +1640,8 @@ mod gain_vector_tests {
             .unwrap();
         let c = DVector::from_vec(vec![5.0, 1.0, 4.0]);
         let gains = gain_vector(&g, &c).unwrap();
-        let scalar = unichain_average(&g, &c).unwrap();
+        let (pi, _) = Solver::new(Method::Gth).solve(&g).unwrap();
+        let scalar = long_run_average(&pi, &c);
         for i in 0..3 {
             assert!((gains[i] - scalar).abs() < 1e-10, "state {i}");
         }

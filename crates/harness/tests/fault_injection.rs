@@ -7,7 +7,7 @@
 //! described in DESIGN.md — CI runs a black-box twin of them through the
 //! experiment binaries (`--inject-panic`, `--checkpoint`, `--resume`).
 
-use dpm_ctmc::{stationary, Generator};
+use dpm_ctmc::{stationary, CtmcError, Generator};
 use dpm_harness::{
     artifact, checkpoint,
     plan::Plan,
@@ -178,23 +178,42 @@ fn resume_from_v2_artifact_reruns_only_failures() {
     std::fs::remove_file(&artifact_path).ok();
 }
 
-/// A reducible two-class chain: dense LU rejects it as `Singular`, so a
-/// task built on the fallback-armed `Solver` only succeeds if the
+/// An irreducible ring with chords on which one BiCGSTAB step cannot
+/// converge (ILU(0) drops the fill-in), so a task built on the
+/// fallback-armed `Solver` with a one-step budget only succeeds if the
 /// escalation chain engages — proving the solver fallback is reachable
-/// from inside a harness task.
+/// from inside a harness task. A chain with two closed classes has no
+/// unique stationary distribution, and the task reports that as an error.
 #[test]
 fn solver_fallback_chain_carries_a_pathological_model_through_the_harness() {
     let p = Plan::new("fallback-gate", 13)
         .replications(2)
-        .point(PlanPoint::new("reducible"));
-    let report = run_plan_resilient(&p, &RunConfig::new(2), |ctx| {
-        let mut b = Generator::builder(4);
-        b.add_rate(0, 1, 1.0);
-        b.add_rate(1, 0, 2.0);
-        b.add_rate(2, 3, 3.0);
-        b.add_rate(3, 2, 1.0);
+        .point(PlanPoint::new("starved-krylov"))
+        .point(PlanPoint::new("two-closed-classes"));
+    let report = run_plan_resilient(&p, &RunConfig::new(2).max_attempts(1), |ctx| {
+        let mut b = Generator::builder(6);
+        if ctx.point.label() == "starved-krylov" {
+            for (from, to, rate) in [
+                (0, 1, 1.0),
+                (1, 2, 2.0),
+                (2, 3, 3.0),
+                (3, 4, 1.0),
+                (4, 5, 2.0),
+                (5, 0, 1.0),
+                (0, 3, 0.5),
+                (4, 1, 0.7),
+                (2, 5, 0.3),
+            ] {
+                b.add_rate(from, to, rate);
+            }
+        } else {
+            for (from, to, rate) in [(0, 1, 1.0), (1, 0, 2.0), (2, 3, 3.0), (3, 2, 1.0)] {
+                b.add_rate(from, to, rate);
+            }
+        }
         let g = b.build().map_err(|e| e.to_string())?;
         let (pi, stats) = stationary::Solver::new(stationary::FALLBACK_CHAIN[0])
+            .max_iters(1)
             .with_default_fallback()
             .solve(&g)
             .map_err(|e| e.to_string())?;
@@ -208,15 +227,30 @@ fn solver_fallback_chain_carries_a_pathological_model_through_the_harness() {
     })
     .unwrap();
     assert_eq!(report.n_ok(), 2);
+    assert_eq!(report.n_failed(), 2);
     for outcome in &report.outcomes {
-        let record = outcome.record().unwrap();
-        assert_eq!(record.result.get("escalated"), Some(&Json::Bool(true)));
-        assert!((record.result.get("sum").unwrap().as_f64().unwrap() - 1.0).abs() < 1e-10);
-        let escalations = record
-            .telemetry
-            .get("counters")
-            .unwrap()
-            .get("solver.escalations");
-        assert!(escalations.and_then(Json::as_f64).unwrap() >= 1.0);
+        match outcome {
+            TaskOutcome::Ok(record) => {
+                assert_eq!(record.result.get("escalated"), Some(&Json::Bool(true)));
+                assert_eq!(record.result.get("method"), Some(&Json::from("Gth")));
+                assert!((record.result.get("sum").unwrap().as_f64().unwrap() - 1.0).abs() < 1e-10);
+                let escalations = record
+                    .telemetry
+                    .get("counters")
+                    .unwrap()
+                    .get("solver.escalations");
+                assert_eq!(escalations.and_then(Json::as_f64), Some(1.0));
+            }
+            TaskOutcome::Failed(failure) => {
+                assert_eq!(
+                    p.points()[failure.point_index].label(),
+                    "two-closed-classes"
+                );
+                assert_eq!(
+                    failure.error,
+                    CtmcError::Reducible { classes: 4 }.to_string()
+                );
+            }
+        }
     }
 }

@@ -23,12 +23,9 @@
 //! * [`CsrMatrix`] — compressed sparse row storage with `y = Ax` / `y = Aᵀx`
 //!   products, transposition and row iteration, for generator matrices whose
 //!   nonzero count grows linearly in the state count;
-//! * [`iterative`] — Jacobi and Gauss–Seidel iterations for diagonally
-//!   dominant systems, in dense and CSR (`O(nnz)` per sweep) variants;
 //! * [`krylov`] — preconditioned Krylov solvers (BiCGSTAB, restarted
 //!   GMRES(m)) with an ILU(0) preconditioner, the tier for generator
-//!   systems of 10⁴–10⁶ states where direct fill-in and stationary sweeps
-//!   both give out.
+//!   systems of 10⁴–10⁶ states where direct fill-in gives out.
 //!
 //! # Examples
 //!
@@ -51,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod error;
-pub mod iterative;
 mod kron;
 mod kron_op;
 pub mod krylov;
@@ -63,9 +59,6 @@ mod sparse_lu;
 mod vector;
 
 pub use error::LinalgError;
-pub use iterative::{
-    gauss_seidel, gauss_seidel_csr, jacobi, jacobi_csr, IterativeOptions, IterativeResult,
-};
 pub use kron::{kron, kron_sparse, kron_sum, kron_sum_sparse};
 pub use kron_op::KroneckerOp;
 pub use lu::Lu;

@@ -87,6 +87,13 @@ cargo build --release -q -p dpm-bench --bin fig4
     --seed 11 --out "$SMOKE_DIR/solve2.json" > /dev/null
 ./target/release/artifact_diff --a "$SMOKE_DIR/solve1.json" --b "$SMOKE_DIR/solve2.json"
 
+echo "=== scaling smoke (reducible greedy chains: dense GTH == sparse Gauss-Seidel on the closed class) ==="
+cargo build --release -q -p dpm-bench --bin scaling
+# scaling exits non-zero if a task fails or the two pipelines' π differ
+# by more than 1e-9; these are the only reducible SYS chains CI solves.
+./target/release/scaling --capacities 5,50 --modes 3,5 \
+    --out "$SMOKE_DIR/scaling.json" > /dev/null
+
 echo "=== solve-phase benchmark smoke (improvement fixpoint, pipeline identity, solver tiers) ==="
 cargo build --release -q -p dpm-bench --bin bench_solve
 # bench_solve exits non-zero if any of its checks fails.

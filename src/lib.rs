@@ -11,8 +11,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`linalg`] | `dpm-linalg` | dense matrices, CSR sparse matrices, LU, Kronecker algebra, iterative and preconditioned Krylov solvers (BiCGSTAB, GMRES(m), ILU(0)) |
-//! | [`ctmc`] | `dpm-ctmc` | Markov chains: dense and sparse generators, the unified `stationary::Solver` builder over `Method::{Lu, Gth, Power, Iterative, BiCgStab, Gmres}`, transient analysis, rewards |
+//! | [`linalg`] | `dpm-linalg` | dense matrices, CSR sparse matrices, dense and sparse LU, Kronecker algebra, preconditioned Krylov solvers (BiCGSTAB, GMRES(m), ILU(0)) |
+//! | [`ctmc`] | `dpm-ctmc` | Markov chains: dense and sparse generators, the unified `stationary::Solver` builder over `Method::{Gth, Iterative, BiCgStab}` (solving the closed class of a unichain input), transient analysis, rewards |
 //! | [`lp`] | `dpm-lp` | two-phase primal simplex |
 //! | [`mdp`] | `dpm-mdp` | CTMDP/DTMDP solvers: policy iteration (Howard's multichain algorithm over `ChainFactors` evaluation), value iteration, occupation-measure LPs |
 //! | [`model`] | `dpm-core` | the paper's power-management model and policy optimization; SYS generators assemble densely or directly into CSR |
@@ -23,10 +23,10 @@
 //! Large state spaces (queue capacities in the hundreds and beyond)
 //! should use the sparse pipeline — [`model`]'s
 //! `PmSystem::sparse_generator_for` feeding [`ctmc`]'s
-//! `stationary::Solver` with `Method::Iterative` or, from ~10⁴ states,
-//! the ILU(0)-preconditioned `Method::BiCgStab`/`Method::Gmres` tier —
-//! which the `scaling` bench measures at 30–40× faster than dense LU by
-//! Q = 200 while agreeing to ~1e-12.
+//! `stationary::Solver` with `Method::Iterative` or, from ~10⁴ states on
+//! well-conditioned chains, the ILU(0)-preconditioned `Method::BiCgStab`
+//! — which the `scaling` bench measures at ~9–14× faster than dense GTH
+//! by Q = 200 while agreeing to ~3e-12.
 //!
 //! # Quickstart
 //!
