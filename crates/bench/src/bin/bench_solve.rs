@@ -9,14 +9,12 @@
 //! 2. **Solve-phase pipeline**: a weight sweep as a
 //!    [`dpm_harness::solve::SolvePlan`] at 1 worker versus
 //!    `--solve-workers`, checked bit-identical.
-//! 3. **Stationary solver tiers**: the sparse direct solve
-//!    ([`Method::Gth`] on a sparse generator, `SparseLu`) versus
+//! 3. **Stationary solver tiers**: GTH state reduction ([`Method::Gth`]
+//!    on a sparse generator, in reverse Cuthill–McKee order) versus
 //!    ILU(0)-preconditioned BiCGSTAB on synthetic sparse birth–death
 //!    chains up to `--tier-states` (default 100 000) states, recording
-//!    the direct↔Krylov crossover. The direct solve is skipped beyond
-//!    `--tier-direct-limit` (default 10 000), where the dense
-//!    normalization row makes its elimination superlinear. `--tol` sets
-//!    BiCGSTAB's tolerance. The tiers must agree to ≤ 1e-8.
+//!    the direct↔Krylov crossover. `--tol` sets BiCGSTAB's tolerance.
+//!    The tiers must agree to ≤ 1e-8.
 //!
 //! Deterministic fields (`params`, `checks`) are canonical; wall-clock
 //! numbers live under the `timers` key, which the artifact diff strips.
@@ -26,7 +24,7 @@
 //! cargo run --release -p dpm-bench --bin bench_solve -- \
 //!     [--capacity Q] [--rounds R] [--solve-workers N] \
 //!     [--tol T] \
-//!     [--tier-states N] [--tier-direct-limit N] [--seed S] \
+//!     [--tier-states N] [--seed S] \
 //!     [--out results/BENCH_solve.json]
 //! ```
 
@@ -76,7 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "solve-workers",
         "tol",
         "tier-states",
-        "tier-direct-limit",
         "seed",
         "out",
     ]))?;
@@ -151,32 +148,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pipeline_identical = fingerprint(&serial) == fingerprint(&parallel);
 
     // ------------------------------------------------------------------
-    // 3. Stationary solver tiers: sparse direct vs BiCGSTAB + ILU(0).
+    // 3. Stationary solver tiers: GTH vs BiCGSTAB + ILU(0).
     // ------------------------------------------------------------------
     let tier_states = args.get_usize("tier-states", 100_000)?;
-    // The normalization row is dense, so sparse LU elimination goes
-    // superlinear on these chains; beyond this size only the Krylov
-    // tiers run (the crossover is long decided by then anyway).
-    let tier_direct_limit = args.get_usize("tier-direct-limit", 10_000)?;
     let tier_sizes: Vec<usize> = [1_000usize, 10_000, 100_000]
         .into_iter()
         .filter(|&s| s <= tier_states.max(1_000))
         .collect();
-    // (size, method name, secs, sweeps, norm_inf diff vs sparse direct)
+    // (size, method name, secs, sweeps, norm_inf diff vs GTH)
     let mut tier_rows: Vec<(usize, String, f64, usize, f64)> = Vec::new();
     let mut tiers_agree = true;
     let mut tier_max_diff = 0.0f64;
     let tier_label = |method: Method| match method {
         Method::BiCgStab => "bicgstab_ilu0",
-        _ => "sparse_lu",
+        _ => "gth",
     };
     for &size in &tier_sizes {
         let chain = birth_death_sparse(size)?;
         let mut reference = None;
         for method in [Method::Gth, Method::BiCgStab] {
-            if method == Method::Gth && size > tier_direct_limit {
-                continue;
-            }
             let (solved, secs) = timed(|| {
                 stationary::Solver::new(method)
                     .tolerance(tolerance)
@@ -236,7 +226,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let tier_widths = [10usize, 16, 12, 8, 12];
-    println!("\nStationary solver tiers (birth–death chains, diff vs sparse LU)");
+    println!("\nStationary solver tiers (birth–death chains, diff vs GTH)");
     row(
         &[
             "states".into(),
@@ -277,7 +267,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.set("sweep_points", n_sweep);
     params.set("root_seed", root_seed);
     params.set("tier_states", tier_states);
-    params.set("tier_direct_limit", tier_direct_limit);
     params.set("tol", Json::num(tolerance));
     doc.set("params", params);
     let mut checks = Json::object();

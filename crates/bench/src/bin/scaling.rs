@@ -14,12 +14,12 @@
 //! Under a greedy policy the SYS chain is *reducible*: one closed class
 //! plus thousands of transient states. Both pipelines solve only the
 //! closed class, so this binary is the end-to-end gate on that path. The
-//! sparse solver stays [`Method::Iterative`] on purpose: the class is
-//! stiff. On the 1 501-state class of the 3-mode chain at Q = 500,
-//! Gauss–Seidel takes ~20 ms, BiCGSTAB + ILU(0) diverges (residual
-//! 5.7e35 after 9 655 steps) and the sparse direct solve takes ~2 s
-//! (2-vCPU host).
-//! The SparseLu↔Krylov crossover on irreducible chains is measured in
+//! sparse solver stays [`Method::Iterative`] because that path shares
+//! nothing with GTH, so the two pipelines check each other; it is not
+//! the faster one. On the 1 501-state class of the 3-mode chain at
+//! Q = 500, Gauss–Seidel takes ~20 ms, GTH ~0.6 ms and BiCGSTAB + ILU(0)
+//! diverges (residual 5.7e35 after 9 655 steps; 2-vCPU host).
+//! The GTH↔Krylov crossover on irreducible chains is measured in
 //! `bench_solve` instead.
 //!
 //! Runs on the `dpm-harness` plan runner: each (modes, capacity) cell is

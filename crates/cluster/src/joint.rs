@@ -370,7 +370,10 @@ impl MaterializedSolution {
 /// Gauss–Seidel leads the fallback chain: on the paper's greedy SYS
 /// fleet the solve runs on a stiff closed class, where BiCGSTAB stops
 /// 7e-10 from GTH at `K = 2` and stalls at `K = 3`, while Gauss–Seidel
-/// agrees with GTH to ~1e-12 in tens of sweeps.
+/// agrees with GTH to ~1e-12 in tens of sweeps. GTH itself is the slower
+/// lead here: the Kronecker pattern fills its elimination, 2.9 s on the
+/// 4 096-state `K = 3` class against 0.027 s for Gauss–Seidel (2-vCPU
+/// host).
 ///
 /// # Errors
 ///

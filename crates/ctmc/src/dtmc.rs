@@ -102,60 +102,32 @@ impl Dtmc {
         self.matrix.vec_mul(pi)
     }
 
-    /// Stationary distribution by the Grassmann–Taksar–Heyman (GTH)
-    /// elimination, which is subtraction-free and therefore numerically
-    /// stable even for stiff chains.
+    /// Stationary distribution by Grassmann–Taksar–Heyman state reduction,
+    /// which is subtraction-free and therefore numerically stable even for
+    /// stiff chains. The off-diagonal probabilities go to the same
+    /// elimination as [`crate::stationary::Method::Gth`], which never reads
+    /// the diagonal: `πP = π` is `π(P − I) = 0`.
     ///
-    /// Requires the chain to be irreducible; on a reducible chain the result
-    /// is the stationary distribution of the class containing the last
-    /// state, which is usually not what you want — callers should check
-    /// irreducibility first (see [`crate::graph::is_irreducible`]).
+    /// Requires the chain to be irreducible — callers should check first
+    /// (see [`crate::graph::is_irreducible`]). On a reducible chain the
+    /// elimination degenerates or returns the distribution of one closed
+    /// class, depending on the elimination order.
     ///
     /// # Errors
     ///
-    /// Returns [`CtmcError::Numerical`] if a normalization sum degenerates
-    /// to zero (which happens only on reducible chains).
+    /// Returns [`CtmcError::Numerical`] if a pivot degenerates to zero
+    /// (reducible chains, or fill products underflowing).
     pub fn stationary_gth(&self) -> Result<DVector, CtmcError> {
         let n = self.n_states();
-        let mut p = self.matrix.clone();
-        // Eliminate states n-1 down to 1.
-        for k in (1..n).rev() {
-            let s: f64 = (0..k).map(|j| p[(k, j)]).sum();
-            if s <= 0.0 {
-                return Err(CtmcError::Numerical(
-                    dpm_linalg::LinalgError::InvalidInput {
-                        reason: format!(
-                            "GTH elimination degenerate at state {k} (reducible chain?)"
-                        ),
-                    },
-                ));
-            }
-            for i in 0..k {
-                p[(i, k)] /= s;
-            }
-            for i in 0..k {
-                let pik = p[(i, k)];
-                // dpm-lint: allow(float_eq, reason = "exact structural-zero skip: only true zeros may be dropped from the elimination")
-                if pik != 0.0 {
-                    for j in 0..k {
-                        let delta = pik * p[(k, j)];
-                        p[(i, j)] += delta;
-                    }
-                }
-            }
-        }
-        // Back substitution.
-        let mut pi = DVector::zeros(n);
-        pi[0] = 1.0;
-        for k in 1..n {
-            let mut sum = 0.0;
-            for i in 0..k {
-                sum += pi[i] * p[(i, k)];
-            }
-            pi[k] = sum;
-        }
-        pi.normalize_l1().map_err(CtmcError::Numerical)?;
-        Ok(pi)
+        let transitions = (0..n).flat_map(move |i| {
+            self.matrix
+                .row(i)
+                .iter()
+                .enumerate()
+                .filter(move |&(j, &p)| j != i && p > 0.0)
+                .map(move |(j, &p)| (i, j, p))
+        });
+        crate::stationary::gth(n, transitions)
     }
 
     /// Expected discounted total cost `v = c + β P v` for discount

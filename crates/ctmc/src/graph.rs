@@ -6,7 +6,9 @@
 //! is accessible from the other; the communicating classes are exactly the
 //! strongly connected components of this digraph, computed here with an
 //! iterative Tarjan algorithm (no recursion, so deep chains cannot overflow
-//! the stack).
+//! the stack). The module also orders states for the GTH elimination of
+//! [`crate::stationary`]: reverse Cuthill–McKee on the symmetrized
+//! pattern.
 
 use crate::{Generator, SparseGenerator};
 
@@ -204,6 +206,58 @@ fn classes_of_adjacency(n: usize, adj: &[Vec<usize>]) -> Classes {
     }
 }
 
+/// Reverse Cuthill–McKee order of the symmetrized pattern of `edges`:
+/// `order[p]` is the state at position `p`.
+///
+/// Breadth-first search from a minimum-degree state, visiting each
+/// state's unvisited neighbours by ascending degree, then reversed; a
+/// state left unvisited (another component) restarts the search at the
+/// minimum-degree one. Every tie breaks by state index, so the order is a
+/// function of the pattern alone. On a banded pattern the positions keep
+/// the band, which is what bounds the fill of the GTH elimination.
+pub(crate) fn reverse_cuthill_mckee(
+    n: usize,
+    edges: impl Iterator<Item = (usize, usize)>,
+) -> Vec<usize> {
+    let mut adj = vec![Vec::new(); n];
+    for (i, j) in edges {
+        adj[i].push(j);
+        adj[j].push(i);
+    }
+    for neighbours in &mut adj {
+        neighbours.sort_unstable();
+        neighbours.dedup();
+    }
+    let degree: Vec<usize> = adj.iter().map(Vec::len).collect();
+    for neighbours in &mut adj {
+        neighbours.sort_unstable_by_key(|&v| (degree[v], v));
+    }
+    let mut roots: Vec<usize> = (0..n).collect();
+    roots.sort_unstable_by_key(|&v| (degree[v], v));
+    let mut visited = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    for root in roots {
+        if visited[root] {
+            continue;
+        }
+        visited[root] = true;
+        let mut head = order.len();
+        order.push(root);
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for &w in &adj[v] {
+                if !visited[w] {
+                    visited[w] = true;
+                    order.push(w);
+                }
+            }
+        }
+    }
+    order.reverse();
+    order
+}
+
 /// Returns `true` if the chain is irreducible (a single communicating
 /// class, Definition 2.5).
 ///
@@ -369,6 +423,34 @@ mod tests {
         }
         let g = b.build().unwrap();
         assert!(is_irreducible(&g));
+    }
+
+    #[test]
+    fn rcm_roots_at_the_lowest_minimum_degree_state() {
+        // Path 3 - 1 - 0 - 2 - 4: the endpoints 3 and 4 have degree 1, so
+        // the search starts at 3 and the reversed order ends there.
+        let order = reverse_cuthill_mckee(5, [(3, 1), (1, 0), (0, 2), (2, 4)].into_iter());
+        assert_eq!(order, [4, 2, 0, 1, 3]);
+    }
+
+    #[test]
+    fn rcm_visits_neighbours_by_degree_then_index() {
+        // Star centre 0 with leaves 1..=3; leaf 3 also touches 4 (degree 2).
+        // Root: leaf 1 (degree 1, lowest index); then 0; then 2 (degree 1)
+        // before 3 (degree 2); then 4.
+        let edges = [(0, 1), (0, 2), (0, 3), (3, 4)];
+        let order = reverse_cuthill_mckee(5, edges.into_iter());
+        assert_eq!(order, [4, 3, 2, 0, 1]);
+        // Direction and duplicates do not matter: only the symmetrized
+        // pattern does.
+        let flipped = edges.iter().map(|&(i, j)| (j, i)).chain(edges);
+        assert_eq!(reverse_cuthill_mckee(5, flipped), order);
+    }
+
+    #[test]
+    fn rcm_covers_every_component() {
+        let order = reverse_cuthill_mckee(5, [(0, 1), (3, 4)].into_iter());
+        assert_eq!(order, [4, 3, 1, 0, 2]);
     }
 
     #[test]

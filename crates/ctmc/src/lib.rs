@@ -12,19 +12,21 @@
 //! * [`stationary`] — limiting-distribution solvers (`πG = 0`, `Σπ = 1`,
 //!   Theorem 2.1) behind the unified [`stationary::Solver`] builder, which
 //!   solves the one closed class of its input: the numerically stable
-//!   Grassmann–Taksar–Heyman elimination (sparse: a direct solve),
-//!   matrix-free Gauss–Seidel on the balance equations, and
+//!   Grassmann–Taksar–Heyman state reduction in reverse Cuthill–McKee
+//!   order (one kernel for dense and sparse input), matrix-free
+//!   Gauss–Seidel on the balance equations, and
 //!   ILU(0)-preconditioned BiCGSTAB for very large sparse chains
 //!   ([`stationary::Method`]); and, for possibly multichain chains,
 //!   [`stationary::ChainFactors`], which factors the gain/bias equations
 //!   once per chain and solves them for any number of cost vectors;
 //! * [`graph`] — communicating classes (Definitions 2.3–2.6) via Tarjan's
 //!   strongly-connected-components algorithm, irreducibility and
-//!   connectivity checks;
+//!   connectivity checks, and the reverse Cuthill–McKee order GTH
+//!   eliminates in;
 //! * [`transient`] — transient state probabilities by uniformization;
 //! * [`reward`] — Markov processes with reward rates and transition rewards
 //!   (the `r_{i,i}` / `r_{i,j}` structure of Section II and Eqn. 2.5);
-//! * [`Dtmc`] — discrete-time chains (used by uniformization, GTH, and the
+//! * [`Dtmc`] — discrete-time chains (used by uniformization and the
 //!   DAC'98 discrete-time baseline);
 //! * [`birth_death`] — closed-form M/M/1/K results used as ground truth in
 //!   tests.

@@ -103,8 +103,7 @@ impl SparseGenerator {
     }
 
     /// Materializes the dense equivalent. `O(n²)` memory — intended for
-    /// dense GTH ([`crate::stationary::Method::Gth`] on a [`Generator`])
-    /// and for tests; defeats the point of sparsity at scale.
+    /// tests and small chains; defeats the point of sparsity at scale.
     ///
     /// # Errors
     ///

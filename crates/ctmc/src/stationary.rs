@@ -15,16 +15,18 @@
 //!
 //! Three backends sit behind the [`Solver`] builder:
 //!
-//! * [`Method::Gth`] — Grassmann–Taksar–Heyman elimination on the
-//!   uniformized chain (dense), or the sparse direct solve of the
-//!   normalization-row system (sparse); subtraction-free in the dense
-//!   form, the default;
+//! * [`Method::Gth`] — Grassmann–Taksar–Heyman state reduction on the
+//!   chain's off-diagonal rates in reverse Cuthill–McKee order, one
+//!   subtraction-free kernel for dense and sparse input (and for
+//!   [`Dtmc::stationary_gth`](crate::Dtmc::stationary_gth)); on banded
+//!   chains such as SYS classes its cost is linear in the states; the
+//!   default;
 //! * [`Method::Iterative`] — Gauss–Seidel sweeps on the balance equations,
-//!   `O(nnz)` per sweep, the fast method on stiff SYS chains;
+//!   `O(nnz)` per sweep, a path independent of elimination;
 //! * [`Method::BiCgStab`] — ILU(0)-preconditioned BiCGSTAB with iterative
 //!   refinement (`dpm_linalg::krylov`) on the normalization-row system,
-//!   the `O(nnz)` path for generators of 10⁴–10⁶ states where direct
-//!   fill-in gives out.
+//!   the `O(nnz)` path for chains whose elimination fill outgrows memory
+//!   (Kronecker fleet chains).
 //!
 //! # The `Solver` builder
 //!
@@ -48,17 +50,14 @@
 //!
 //! With [`Solver::with_default_fallback`] the solve escalates through
 //! [`FALLBACK_CHAIN`] until a backend produces a distribution passing the
-//! residual guard — a stalled Krylov solve degrades to the direct and
-//! Gauss–Seidel tiers automatically.
+//! residual guard — a stalled Krylov solve degrades to GTH and then to
+//! Gauss–Seidel automatically.
 
 use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
-use dpm_linalg::{CsrMatrix, DMatrix, DVector, LinalgError, Lu, SparseLu};
+use dpm_linalg::{CsrMatrix, DMatrix, DVector, LinalgError, Lu};
 
 use crate::graph::{self, Classes};
 use crate::{CtmcError, Generator, SparseGenerator};
-
-/// Margin applied to the uniformization constant by the dense GTH solver.
-const UNIFORMIZATION_MARGIN: f64 = 1.05;
 
 /// Default convergence tolerance: infinity norm of the per-sweep update
 /// for [`Method::Iterative`], relative residual for [`Method::BiCgStab`].
@@ -75,11 +74,12 @@ const KRYLOV_REFINEMENT_STEPS: usize = 2;
 /// Solver backend selector for [`Solver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Method {
-    /// Grassmann–Taksar–Heyman elimination on the uniformized chain.
-    /// Subtraction-free in the dense form, the most robust choice on stiff
-    /// chains, `O(n³)` time / `O(n²)` memory. Sparse input: the direct
-    /// solve ([`dpm_linalg::SparseLu`]) of the equilibrated
-    /// normalization-row system, cost governed by fill-in. The default.
+    /// Grassmann–Taksar–Heyman state reduction on the off-diagonal rates,
+    /// eliminating in reverse Cuthill–McKee order; dense and sparse input
+    /// run the same kernel and give the same bits. Subtraction-free, the
+    /// most robust choice on stiff chains. Cost follows the fill inside
+    /// the RCM profile: `O(n·b²)` for bandwidth `b`, `O(n³)` on a dense
+    /// chain. The default.
     #[default]
     Gth,
     /// Gauss–Seidel sweeps directly on the balance equations `πG = 0`,
@@ -182,8 +182,9 @@ impl SolveStats {
         self.method
     }
 
-    /// Iteration sweeps performed (0 for the direct methods; Krylov
-    /// matrix–vector products for the Krylov methods).
+    /// Iteration sweeps performed: 0 for [`Method::Gth`], Gauss–Seidel
+    /// sweeps for [`Method::Iterative`], matrix–vector products for
+    /// [`Method::BiCgStab`].
     #[must_use]
     pub fn sweeps(&self) -> usize {
         self.sweeps
@@ -212,9 +213,8 @@ impl SolveStats {
 
 /// Ordered backend chain armed by [`Solver::with_default_fallback`], for
 /// dense and sparse input alike. ILU(0)-preconditioned BiCGSTAB leads —
-/// the only `O(nnz)`-per-iteration tier that also converges fast on most
-/// stiff chains — then the direct solve, then Gauss–Seidel, which is
-/// the only fast method on the stiffest SYS classes.
+/// the `O(nnz)`-per-iteration tier that keeps memory flat on fleet chains
+/// — then GTH, then Gauss–Seidel, which shares nothing with either.
 pub const FALLBACK_CHAIN: [Method; 3] = [Method::BiCgStab, Method::Gth, Method::Iterative];
 
 /// Relative slack of the a-posteriori residual guard applied by the
@@ -413,7 +413,7 @@ impl Solver {
         method: Method,
     ) -> Result<(DVector, usize), CtmcError> {
         match method {
-            Method::Gth => Ok((dense_gth(generator)?, 0)),
+            Method::Gth => Ok((gth(generator.n_states(), generator.transitions())?, 0)),
             Method::Iterative | Method::BiCgStab => {
                 self.attempt_sparse(&SparseGenerator::from_generator(generator), method)
             }
@@ -428,7 +428,7 @@ impl Solver {
         method: Method,
     ) -> Result<(DVector, usize), CtmcError> {
         match method {
-            Method::Gth => sparse_direct(generator),
+            Method::Gth => Ok((gth(generator.n_states(), generator.transitions())?, 0)),
             Method::Iterative => {
                 sparse_gauss_seidel(generator, self.tolerance, self.max_iterations)
             }
@@ -459,19 +459,153 @@ fn distribution_flaw(pi: &DVector, residual: f64, scale: f64) -> Option<String> 
     None
 }
 
-/// Sparse direct solve via [`SparseLu`] on the normalization-row system —
-/// the sparse [`Method::Gth`] path (see [`normalization_system`]). No
-/// densification: memory follows the factor fill-in plus the single dense
-/// row, not `n²`.
-fn sparse_direct(generator: &SparseGenerator) -> Result<(DVector, usize), CtmcError> {
-    let (a, b) = normalization_system(generator);
-    let lu = SparseLu::new(&a).map_err(CtmcError::Numerical)?;
-    let x = lu.solve(&b).map_err(CtmcError::Numerical)?;
-    Ok((finish_direct(&x)?, 0))
+/// Back-substituted probabilities are rescaled once one exceeds this
+/// bound, so a distribution spanning more than the `f64` range loses only
+/// the entries below it (to 0), never overflows.
+const GTH_RESCALE_BOUND: f64 = 1e200;
+
+/// Grassmann–Taksar–Heyman state reduction: the one direct stationary
+/// solve, behind [`Method::Gth`] on dense and sparse generators and behind
+/// [`Dtmc::stationary_gth`](crate::Dtmc::stationary_gth).
+///
+/// `transitions` are the chain's off-diagonal `(from, to, rate)` entries
+/// with `rate > 0`, each pair at most once. The chain must be irreducible
+/// ([`Solver::solve`] reduces its input to the closed class first); the
+/// diagonal is never read, so no uniformization is needed.
+///
+/// States are eliminated from the last position of their reverse
+/// Cuthill–McKee order ([`graph::reverse_cuthill_mckee`]) to the first.
+/// Eliminating `k` censors the chain on the states before it: the pivot
+/// `s_k` is the sum of `k`'s rates to those states (a sum, never a
+/// difference), and each remaining in-neighbour `i` gains
+/// `q_ij += (q_ik / s_k) · q_kj`, dropping `j = i`. Rows are sorted
+/// `(position, rate)` lists and the pivot row is scattered into a dense
+/// scratch array, so a row that already holds every pivot column is
+/// updated in one pass and only fill rebuilds a row. The cost follows the
+/// fill inside the RCM profile: `O(n·b²)` on a band of width `b`, `O(n³)`
+/// on a dense chain. The scaled `q_ik / s_k` stays in row `i` for the
+/// back substitution `π_k = Σ_{i<k} π_i q_ik / s_k`, which starts from
+/// `π = 1` at the first position and rescales past
+/// [`GTH_RESCALE_BOUND`].
+///
+/// # Errors
+///
+/// [`CtmcError::Numerical`] when a pivot is not positive — a reducible
+/// chain, or an irreducible one whose fill products underflow — or when
+/// the distribution has no finite positive mass.
+pub(crate) fn gth(
+    n: usize,
+    transitions: impl Iterator<Item = (usize, usize, f64)>,
+) -> Result<DVector, CtmcError> {
+    let transitions: Vec<(usize, usize, f64)> = transitions.collect();
+    let order = graph::reverse_cuthill_mckee(n, transitions.iter().map(|&(i, j, _)| (i, j)));
+    let mut position = vec![0usize; n];
+    for (p, &state) in order.iter().enumerate() {
+        position[state] = p;
+    }
+    // Off-diagonal rows and in-neighbour lists, both by position.
+    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    let mut in_neighbours: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, j, rate) in transitions {
+        rows[position[i]].push((position[j], rate));
+        in_neighbours[position[j]].push(position[i]);
+    }
+    for row in &mut rows {
+        row.sort_unstable_by_key(|&(j, _)| j);
+    }
+
+    // The pivot row scattered densely: `pivot_rate[j]` holds `q_kj` while
+    // `pivot_of[j] == k`.
+    let mut pivot_rate = vec![0.0f64; n];
+    let mut pivot_of = vec![0usize; n];
+    let mut merged: Vec<(usize, f64)> = Vec::new();
+    for k in (1..n).rev() {
+        let pivot_row = std::mem::take(&mut rows[k]);
+        let active = &pivot_row[..pivot_row.partition_point(|&(j, _)| j < k)];
+        let s: f64 = active.iter().map(|&(_, q)| q).sum();
+        if s <= 0.0 {
+            return Err(CtmcError::Numerical(LinalgError::InvalidInput {
+                reason: format!("GTH elimination degenerate at state {}", order[k]),
+            }));
+        }
+        for &(j, q) in active {
+            pivot_rate[j] = q;
+            pivot_of[j] = k;
+        }
+        for i in std::mem::take(&mut in_neighbours[k]) {
+            if i > k {
+                continue;
+            }
+            let row = &mut rows[i];
+            let at = row.partition_point(|&(j, _)| j < k);
+            let factor = row[at].1 / s;
+            row[at].1 = factor;
+            // dpm-lint: allow(float_eq, reason = "exact structural-zero skip: an underflowed factor adds nothing")
+            if factor == 0.0 {
+                continue;
+            }
+            let mut hits = 0;
+            for (j, q) in &mut row[..at] {
+                if pivot_of[*j] == k {
+                    *q += factor * pivot_rate[*j];
+                    hits += 1;
+                }
+            }
+            // Every pivot column but i itself must now be in row i.
+            if hits + usize::from(pivot_of[i] == k) == active.len() {
+                continue;
+            }
+            // Fill: rebuild the columns before k with the missing pivot
+            // columns inserted in order.
+            merged.clear();
+            let mut entries = row[..at].iter().copied().peekable();
+            for &(j, q) in active {
+                while let Some(entry) = entries.next_if(|&(c, _)| c < j) {
+                    merged.push(entry);
+                }
+                match entries.next_if(|&(c, _)| c == j) {
+                    Some(entry) => merged.push(entry),
+                    None if j != i => {
+                        merged.push((j, factor * q));
+                        in_neighbours[j].push(i);
+                    }
+                    None => {}
+                }
+            }
+            merged.extend(entries);
+            row.splice(..at, merged.drain(..));
+        }
+        rows[k] = pivot_row;
+    }
+
+    let mut pi = vec![0.0f64; n];
+    if let Some(first) = pi.first_mut() {
+        *first = 1.0;
+    }
+    for k in 0..n {
+        if pi[k] > GTH_RESCALE_BOUND {
+            let scale = 1.0 / pi[k];
+            for x in &mut pi {
+                *x *= scale;
+            }
+        }
+        let p = pi[k];
+        for &(j, factor) in &rows[k] {
+            if j > k {
+                pi[j] += p * factor;
+            }
+        }
+    }
+    let mut out = DVector::zeros(n);
+    for (p, &state) in order.iter().enumerate() {
+        out[state] = pi[p];
+    }
+    out.normalize_l1().map_err(CtmcError::Numerical)?;
+    Ok(out)
 }
 
-/// Builds the normalization-row system for the sparse direct and Krylov
-/// solvers: `A x = e_{n-1}` with `A = D·Gᵀ` except that row `n−1` is the
+/// Builds the normalization-row system for the Krylov solver:
+/// `A x = e_{n-1}` with `A = D·Gᵀ` except that row `n−1` is the
 /// all-ones normalization row, so the solution is `π` itself. `D`
 /// equilibrates each balance row by its largest rate — row scaling leaves
 /// the solution untouched but keeps the pivots comparable when rates span
@@ -482,11 +616,10 @@ fn sparse_direct(generator: &SparseGenerator) -> Result<(DVector, usize), CtmcEr
 /// `π / π_{n-1}` — keeps the system free of the dense row, but its
 /// solution spans as many orders of magnitude as `π_max / π_{n-1}`, which
 /// for stiff chains overflows what `f64` residuals can resolve (the
-/// Krylov methods then cannot converge, and even a pivoted direct solve
-/// loses the distribution's small entries). This formulation keeps
+/// Krylov methods then cannot converge). This formulation keeps
 /// `‖x‖ ≤ 1` and `‖b‖ = 1` regardless of how lopsided `π` is, at the
-/// cost of `n` extra non-zeros and whatever fill-in the dense row causes
-/// in a direct factorization (none for ILU(0) or matrix-vector products).
+/// cost of `n` extra non-zeros (no fill for ILU(0) or matrix–vector
+/// products).
 fn normalization_system(generator: &SparseGenerator) -> (CsrMatrix, DVector) {
     let n = generator.n_states();
     debug_assert!(n >= 2, "normalization system needs at least two states");
@@ -518,10 +651,10 @@ fn normalization_system(generator: &SparseGenerator) -> (CsrMatrix, DVector) {
     }
 }
 
-/// Normalizes a direct Krylov solution of the normalization-row system
-/// into a distribution (the solve already targets `Σπ = 1`; renormalize to
-/// absorb the residual).
-fn finish_direct(x: &DVector) -> Result<DVector, CtmcError> {
+/// Normalizes a Krylov solution of the normalization-row system into a
+/// distribution (the solve already targets `Σπ = 1`; renormalize to absorb
+/// the residual).
+fn finish_krylov(x: &DVector) -> Result<DVector, CtmcError> {
     let mut pi = x.clone();
     let sum = pi.sum();
     if !sum.is_finite() || sum <= 0.0 {
@@ -582,7 +715,7 @@ fn sparse_bicgstab(
             Err(_) => break,
         }
     }
-    Ok((finish_direct(&x)?, iterations))
+    Ok((finish_krylov(&x)?, iterations))
 }
 
 /// Maximum-absolute-row-sum norm of a CSR matrix.
@@ -654,12 +787,6 @@ fn sparse_gauss_seidel(
 #[must_use]
 pub fn residual_sparse(generator: &SparseGenerator, pi: &DVector) -> f64 {
     generator.csr().vec_mul(pi).norm_inf()
-}
-
-/// Dense GTH elimination via uniformization.
-fn dense_gth(generator: &Generator) -> Result<DVector, CtmcError> {
-    let (dtmc, _) = generator.uniformize(UNIFORMIZATION_MARGIN)?;
-    dtmc.stationary_gth()
 }
 
 /// Residual `‖πG‖_∞` of a candidate stationary vector — a cheap a-posteriori
@@ -866,7 +993,7 @@ impl ChainFactors {
             let factor = match Lu::new(a) {
                 Ok(lu) => ClassFactor::Lu { lu, scale },
                 Err(LinalgError::Singular { pivot }) => {
-                    let sub = generator.closed_class(&members)?.to_generator()?;
+                    let sub = generator.closed_class(&members)?;
                     // Closed classes inherit whatever conditioning the
                     // policy induced; escalate through the fallback chain
                     // rather than letting one class abort the gains.
@@ -1300,8 +1427,7 @@ mod tests {
     #[test]
     fn sparse_direct_does_not_densify() {
         // A chain big enough that a densifying path would be O(n²)
-        // memory; the sparse direct path must solve it and agree with the
-        // Krylov tier.
+        // memory; sparse GTH must solve it and agree with the Krylov tier.
         let n = 2_000;
         let mut transitions = Vec::new();
         for i in 0..n - 1 {
@@ -1550,7 +1676,7 @@ mod fallback_tests {
         }
         // The fallback chain solves it: preconditioned BiCGSTAB handles the
         // 1e-9 coupling (ILU(0) on the 4×4 system is nearly exact), and
-        // the direct solve backs it up.
+        // GTH backs it up.
         let (pi, stats) = fallback(&sparse).unwrap();
         assert_valid_distribution(&pi);
         assert!(residual_sparse(&sparse, &pi) < 1e-10);
@@ -1580,14 +1706,19 @@ mod fallback_tests {
 
     #[test]
     fn exhaustion_reports_every_attempt() {
-        // Irreducible, but 1e-300 / 1.05e300 underflows in the uniformized
-        // chain, so dense GTH degenerates; a zero iteration budget stops
-        // the two iterative methods.
-        let g = Generator::builder(2)
-            .rate(0, 1, 1e300)
+        // Irreducible, but GTH degenerates in f64: RCM order [2, 1, 0]
+        // eliminates state 0 first, and state 1's fill rate to state 2,
+        // (1e-300 / 1) · 1e-300, underflows, leaving state 1 no rate to the
+        // states before it. A zero iteration budget stops the two
+        // iterative methods.
+        let g = Generator::builder(3)
             .rate(1, 0, 1e-300)
+            .rate(0, 1, 1.0)
+            .rate(0, 2, 1e-300)
+            .rate(2, 1, 1.0)
             .build()
             .unwrap();
+        assert!(graph::is_irreducible(&g));
         let err = Solver::new(Method::BiCgStab)
             .max_iters(0)
             .with_default_fallback()
@@ -1597,7 +1728,11 @@ mod fallback_tests {
             CtmcError::FallbackExhausted { attempts } => {
                 let methods: Vec<&str> = attempts.iter().map(|(m, _)| m.as_str()).collect();
                 assert_eq!(methods, ["BiCgStab", "Gth", "Iterative"]);
-                assert!(attempts[1].1.contains("GTH elimination degenerate"));
+                let gth_failure = &attempts[1].1;
+                assert!(
+                    gth_failure.contains("GTH elimination degenerate at state 1"),
+                    "{gth_failure}"
+                );
             }
             other => panic!("expected FallbackExhausted, got {other:?}"),
         }
@@ -1623,6 +1758,159 @@ mod fallback_tests {
         // Class {0,1}: π = (2/3, 1/3) → gain 8/3; class {2,3}: π = (1/4, 3/4) → 6.
         assert!((gains[0] - 8.0 / 3.0).abs() < 1e-10);
         assert!((gains[2] - 6.0).abs() < 1e-10);
+    }
+}
+
+#[cfg(test)]
+mod gth_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::Dtmc;
+
+    /// The dense GTH the kernel replaced: the uniformized chain (margin
+    /// 1.05), states eliminated from the last index down in natural order,
+    /// back substitution without rescaling.
+    fn reference_gth(generator: &Generator) -> Result<DVector, CtmcError> {
+        let (dtmc, _) = generator.uniformize(1.05)?;
+        let n = dtmc.n_states();
+        let mut p = dtmc.matrix().clone();
+        for k in (1..n).rev() {
+            let s: f64 = (0..k).map(|j| p[(k, j)]).sum();
+            if s <= 0.0 {
+                return Err(CtmcError::Numerical(LinalgError::InvalidInput {
+                    reason: format!("GTH elimination degenerate at state {k}"),
+                }));
+            }
+            for i in 0..k {
+                p[(i, k)] /= s;
+            }
+            for i in 0..k {
+                let pik = p[(i, k)];
+                if pik != 0.0 {
+                    for j in 0..k {
+                        let delta = pik * p[(k, j)];
+                        p[(i, j)] += delta;
+                    }
+                }
+            }
+        }
+        let mut pi = DVector::zeros(n);
+        pi[0] = 1.0;
+        for k in 1..n {
+            let mut sum = 0.0;
+            for i in 0..k {
+                sum += pi[i] * p[(i, k)];
+            }
+            pi[k] = sum;
+        }
+        pi.normalize_l1().map_err(CtmcError::Numerical)?;
+        Ok(pi)
+    }
+
+    /// Random irreducible chain on `n` states: a ring through a random
+    /// relabelling plus a random number of extra edges, every rate
+    /// log-uniform in `[1e-6, 1e6]`.
+    fn irreducible_chain(n: usize) -> impl Strategy<Value = Generator> {
+        let labels = prop::collection::vec(0.0f64..1.0, n);
+        let ring = prop::collection::vec(-6.0f64..6.0, n);
+        let extra = (0..n * (n - 1))
+            .prop_flat_map(move |m| prop::collection::vec((0..n, 0..n, -6.0f64..6.0), m));
+        (labels, ring, extra).prop_map(move |(labels, ring, extra)| {
+            let mut relabel: Vec<usize> = (0..n).collect();
+            relabel.sort_by(|&a, &b| labels[a].total_cmp(&labels[b]));
+            let mut b = Generator::builder(n);
+            for (r, &exponent) in ring.iter().enumerate() {
+                b.add_rate(relabel[r], relabel[(r + 1) % n], 10f64.powf(exponent));
+            }
+            for (i, j, exponent) in extra {
+                if i != j {
+                    b.add_rate(i, j, 10f64.powf(exponent));
+                }
+            }
+            b.build().unwrap()
+        })
+    }
+
+    /// `I + G/Λ` for a power of two `Λ ≥` the largest exit rate: its
+    /// off-diagonal entries are the generator's rates scaled exactly.
+    fn exactly_scaled_dtmc(generator: &Generator) -> Dtmc {
+        let lambda = 2f64.powi(generator.max_exit_rate().log2().ceil() as i32);
+        let n = generator.n_states();
+        let p = DMatrix::from_fn(n, n, |i, j| {
+            if i == j {
+                1.0 - generator.exit_rate(i) / lambda
+            } else {
+                generator.rate(i, j) / lambda
+            }
+        });
+        Dtmc::from_matrix(p).unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn dense_sparse_and_dtmc_input_share_one_elimination(
+            g in (2usize..41).prop_flat_map(irreducible_chain)
+        ) {
+            let (dense, _) = Solver::new(Method::Gth).solve(&g).unwrap();
+            let sparse = SparseGenerator::from_generator(&g);
+            let (from_sparse, _) = Solver::new(Method::Gth).solve(&sparse).unwrap();
+            let from_dtmc = exactly_scaled_dtmc(&g).stationary_gth().unwrap();
+            let bits = |pi: &DVector| pi.iter().map(f64::to_bits).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&dense), bits(&from_sparse));
+            prop_assert_eq!(bits(&dense), bits(&from_dtmc));
+            let reference = reference_gth(&g).unwrap();
+            for (i, (x, r)) in dense.iter().zip(reference.iter()).enumerate() {
+                prop_assert!(
+                    (x - r).abs() <= 1e-10 * r.abs(),
+                    "state {i}: {x:e} vs reference {r:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gth_solves_rates_spanning_600_orders() {
+        // π_0 / π_1 = 1e-600: below the f64 range, so exactly 0. The
+        // uniformized elimination degenerated here (1e-300 / 1.05e300
+        // underflows in the transition matrix).
+        let g = Generator::builder(2)
+            .rate(0, 1, 1e300)
+            .rate(1, 0, 1e-300)
+            .build()
+            .unwrap();
+        let sparse = SparseGenerator::from_generator(&g);
+        for (pi, stats) in [
+            Solver::new(Method::Gth).solve(&g).unwrap(),
+            Solver::new(Method::Gth).solve(&sparse).unwrap(),
+        ] {
+            assert_eq!(pi.as_slice(), &[0.0, 1.0]);
+            assert_eq!(stats.residual(), 1e-300);
+        }
+    }
+
+    #[test]
+    fn back_substitution_rescales_past_the_f64_range() {
+        // Birth–death with ratio 0.01: π_i ∝ 1e-2i spans 1e-798, and the
+        // RCM order starts the back substitution at state 399, the
+        // smallest, so π grows 100× per state from there.
+        let n = 400;
+        let mut transitions = Vec::new();
+        for i in 0..n - 1 {
+            transitions.push((i, i + 1, 0.01));
+            transitions.push((i + 1, i, 1.0));
+        }
+        let g = SparseGenerator::from_transitions(n, &transitions).unwrap();
+        let (pi, stats) = Solver::new(Method::Gth).solve(&g).unwrap();
+        assert!(pi.iter().all(f64::is_finite));
+        assert!((pi.sum() - 1.0).abs() < 1e-12);
+        assert!(stats.residual() <= FALLBACK_RESIDUAL_SLACK * g.max_exit_rate().max(1.0));
+        // The closed form π_i = (1 − ρ) ρ^i, to the rounding floor.
+        for i in 0..100 {
+            let exact = 0.99 * 0.01f64.powi(i as i32);
+            assert!((pi[i] - exact).abs() <= 1e-13 * exact, "state {i}");
+        }
+        assert_eq!(pi[n - 1], 0.0);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Preconditioned Krylov-subspace solvers over [`CsrMatrix`].
 //!
-//! For generator-shaped systems beyond ~10⁴ states, sparse direct
-//! factorization fill-in and plain Gauss–Seidel sweeps both become the
-//! bottleneck. This module provides the workspace's Krylov tier:
+//! For generator-shaped systems whose elimination fill outgrows memory
+//! (Kronecker fleet chains), or where plain Gauss–Seidel sweeps converge
+//! slowly, this module provides the workspace's Krylov tier:
 //!
 //! * [`Ilu0`] — incomplete LU factorization with zero fill: the factors
 //!   live on exactly the sparsity pattern of the input matrix;

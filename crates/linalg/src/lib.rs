@@ -8,8 +8,6 @@
 //!   matrices over `f64`;
 //! * [`Lu`] — LU decomposition with partial pivoting, giving linear solves,
 //!   determinants and inverses;
-//! * [`SparseLu`] — sparse direct LU over CSR rows, for stiff
-//!   generator-shaped systems where iterative sweeps are impractical;
 //! * [`kron`] / [`kron_sum`] — the Kronecker (tensor) product and sum used by
 //!   the paper's compositional generator construction (Definition 4.4), with
 //!   sparse CSR twins [`kron_sparse`] / [`kron_sum_sparse`];
@@ -25,7 +23,8 @@
 //!   nonzero count grows linearly in the state count;
 //! * [`krylov`] — preconditioned Krylov solvers (BiCGSTAB, restarted
 //!   GMRES(m)) with an ILU(0) preconditioner, the tier for generator
-//!   systems of 10⁴–10⁶ states where direct fill-in gives out.
+//!   systems whose elimination fill outgrows a direct solve (Kronecker
+//!   fleet chains).
 //!
 //! # Examples
 //!
@@ -55,7 +54,6 @@ mod lu;
 mod matrix;
 pub mod op;
 pub mod sparse;
-mod sparse_lu;
 mod vector;
 
 pub use error::LinalgError;
@@ -65,7 +63,6 @@ pub use lu::Lu;
 pub use matrix::DMatrix;
 pub use op::{BlockJacobi, Jacobi, LinearOperator, Precondition};
 pub use sparse::CsrMatrix;
-pub use sparse_lu::SparseLu;
 pub use vector::DVector;
 
 /// Default absolute tolerance used by comparisons throughout the workspace.

@@ -98,7 +98,7 @@ echo "=== solve-phase benchmark smoke (improvement fixpoint, pipeline identity, 
 cargo build --release -q -p dpm-bench --bin bench_solve
 # bench_solve exits non-zero if any of its checks fails.
 ./target/release/bench_solve --capacity 10 --rounds 2 \
-    --tier-states 1000 --tier-direct-limit 1000 \
+    --tier-states 10000 \
     --out "$SMOKE_DIR/bench_solve.json" > /dev/null
 
 echo "=== serving smoke (1 vs N shards, determinism gate at tolerance 0) ==="
