@@ -11,7 +11,10 @@
 //!    [`KroneckerOp`](dpm_linalg::KroneckerOp) and materialized through the stock stationary
 //!    ladder. The two distributions must agree to ≤ 1e-10 entrywise, and
 //!    the exchangeability-lumped refinement must match the joint solve —
-//!    otherwise the binary exits nonzero.
+//!    otherwise the binary exits nonzero. Each gate row records whether
+//!    the matrix-free solve `escalated` (ran without its block-Jacobi
+//!    preconditioner), and both solves are timed as the mean of 3 runs
+//!    after one warm-up.
 //! 2. **Fleet scaling (lumped, large `K`)**: a 6-state M/M/1/5 local
 //!    chain with the same coupling shape is scaled across `--fleet-k`
 //!    (default `2,4,6,8`). Only the occupancy-space chain (`C(n+K−1,
@@ -37,7 +40,7 @@
 //!     [--seed S] [--out results/BENCH_cluster.json]
 //! ```
 
-use dpm_bench::{paper_system, row, rule, timed};
+use dpm_bench::{paper_system, row, rule, time_sweeps, timed};
 use dpm_cluster::{
     solve_joint_materialized, solve_joint_matrix_free, solve_lumped, solve_two_level, ClusterError,
     ClusterModel, ClusterSpec, CouplingTerm, JointOptions, CLUSTER_BENCH_FORMAT,
@@ -46,6 +49,9 @@ use dpm_core::{PmPolicy, PmSystem, SpModel, SrModel};
 use dpm_ctmc::SparseGenerator;
 use dpm_harness::{artifact, cli::Args, Json};
 use dpm_linalg::CsrMatrix;
+
+/// Timed repetitions of each gate solve, after one untimed warm-up.
+const TIMED_ROUNDS: usize = 3;
 
 /// Tolerance of the matrix-free vs. materialized gate.
 const GATE_TOL: f64 = 1e-10;
@@ -91,6 +97,7 @@ struct GateRow {
     max_abs_diff: f64,
     refine_max_abs_diff: f64,
     iterations: usize,
+    escalated: bool,
     free_secs: f64,
     materialized_secs: f64,
 }
@@ -130,9 +137,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if k >= 2 {
             model = model.with_coupling(migration_coupling(n_paper, 0.05)?)?;
         }
-        let (free, free_secs) = timed(|| solve_joint_matrix_free(&model, &JointOptions::default()));
+        let (free, free_secs) = time_sweeps(TIMED_ROUNDS, || {
+            solve_joint_matrix_free(&model, &JointOptions::default())
+        });
         let free = free?;
-        let (reference, materialized_secs) = timed(|| solve_joint_materialized(&model));
+        let (reference, materialized_secs) =
+            time_sweeps(TIMED_ROUNDS, || solve_joint_materialized(&model));
         let reference = reference?;
         let mut max_abs_diff = 0.0f64;
         for i in 0..free.pi().len() {
@@ -153,6 +163,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_abs_diff,
             refine_max_abs_diff,
             iterations: free.iterations(),
+            escalated: free.escalated(),
             free_secs,
             materialized_secs,
         });
@@ -329,6 +340,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         g.set("max_abs_diff", Json::num(r.max_abs_diff));
         g.set("refine_max_abs_diff", Json::num(r.refine_max_abs_diff));
         g.set("krylov_iterations", r.iterations);
+        g.set("escalated", r.escalated);
         gate.push(g);
     }
     doc.set("gate", Json::Array(gate));

@@ -14,7 +14,8 @@
 //!    ILU(0)-preconditioned BiCGSTAB on synthetic sparse birth–death
 //!    chains up to `--tier-states` (default 100 000) states, recording
 //!    the direct↔Krylov crossover. `--tol` sets BiCGSTAB's tolerance.
-//!    The tiers must agree to ≤ 1e-8.
+//!    Each solve is timed as the mean of 3 runs after one warm-up. The
+//!    tiers must agree to ≤ 1e-8.
 //!
 //! Deterministic fields (`params`, `checks`) are canonical; wall-clock
 //! numbers live under the `timers` key, which the artifact diff strips.
@@ -40,6 +41,9 @@ use dpm_harness::{
     solve, Json, PlanPoint, SolvePlan,
 };
 use dpm_mdp::{average, Ctmdp};
+
+/// Timed repetitions of each solver-tier solve, after one untimed warm-up.
+const TIMED_ROUNDS: usize = 3;
 
 /// The paper's server model at an enlarged queue capacity.
 fn paper_mdp(capacity: usize, weight: f64) -> Result<Ctmdp, Box<dyn std::error::Error>> {
@@ -167,7 +171,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let chain = birth_death_sparse(size)?;
         let mut reference = None;
         for method in [Method::Gth, Method::BiCgStab] {
-            let (solved, secs) = timed(|| {
+            let (solved, secs) = time_sweeps(TIMED_ROUNDS, || {
                 stationary::Solver::new(method)
                     .tolerance(tolerance)
                     .solve(&chain)

@@ -10,8 +10,8 @@
 //!   [`KroneckerOp`](dpm_linalg::KroneckerOp) whose storage is
 //!   factor-sized;
 //! * [`joint`] — matrix-free stationary analysis of the joint chain:
-//!   the Krylov tier runs against the implicit operator with a
-//!   trailing-axis block-Jacobi preconditioner, gated at small `K`
+//!   block-Jacobi GMRES against the implicit operator, refined and
+//!   finished by the CSR Krylov tier's routine, gated at small `K`
 //!   against a materialized twin solve;
 //! * [`MultisetIndex`] / [`lumped`] — exchangeability lumping onto
 //!   occupancy vectors (`C(n+K−1, K)` states), solved through the stock
@@ -49,7 +49,7 @@ pub mod twolevel;
 
 pub use error::ClusterError;
 pub use joint::{
-    solve_joint_materialized, solve_joint_matrix_free, JointMethod, JointOptions, JointSolution,
+    solve_joint_materialized, solve_joint_matrix_free, JointOptions, JointSolution,
     MaterializedSolution,
 };
 pub use lumped::{lumped_generator, solve_lumped, LumpedSolution};

@@ -53,8 +53,8 @@
 //! residual guard — a stalled Krylov solve degrades to GTH and then to
 //! Gauss–Seidel automatically.
 
-use dpm_linalg::krylov::{self, Ilu0, KrylovOptions};
-use dpm_linalg::{CsrMatrix, DMatrix, DVector, LinalgError, Lu};
+use dpm_linalg::krylov::{self, Ilu0, KrylovOptions, KrylovResult};
+use dpm_linalg::{CsrMatrix, DMatrix, DVector, LinalgError, LinearOperator, Lu, Precondition};
 
 use crate::graph::{self, Classes};
 use crate::{CtmcError, Generator, SparseGenerator};
@@ -620,7 +620,7 @@ pub(crate) fn gth(
 /// `‖x‖ ≤ 1` and `‖b‖ = 1` regardless of how lopsided `π` is, at the
 /// cost of `n` extra non-zeros (no fill for ILU(0) or matrix–vector
 /// products).
-fn normalization_system(generator: &SparseGenerator) -> (CsrMatrix, DVector) {
+fn normalization_system(generator: &SparseGenerator) -> CsrMatrix {
     let n = generator.n_states();
     debug_assert!(n >= 2, "normalization system needs at least two states");
     let mut row_max = vec![0.0f64; n];
@@ -641,68 +641,62 @@ fn normalization_system(generator: &SparseGenerator) -> (CsrMatrix, DVector) {
     for c in 0..n {
         triplets.push((n - 1, c, 1.0));
     }
-    let mut b = DVector::zeros(n);
-    b[n - 1] = 1.0;
     // Construction cannot fail: indices are < n and rates are finite by
     // the generator's invariants.
     match CsrMatrix::from_triplets(n, n, &triplets) {
-        Ok(a) => (a, b),
+        Ok(a) => a,
         Err(_) => unreachable!("normalization-row triplets are in range and finite"), // dpm-lint: allow(no_panic, reason = "from_triplets only rejects out-of-range or non-finite entries, excluded by the generator invariants")
     }
 }
 
-/// Normalizes a Krylov solution of the normalization-row system into a
-/// distribution (the solve already targets `Σπ = 1`; renormalize to absorb
-/// the residual).
-fn finish_krylov(x: &DVector) -> Result<DVector, CtmcError> {
-    let mut pi = x.clone();
-    let sum = pi.sum();
-    if !sum.is_finite() || sum <= 0.0 {
-        return Err(CtmcError::Numerical(
-            dpm_linalg::LinalgError::InvalidInput {
-                reason: format!("stationary Krylov solve produced probability mass {sum}"),
-            },
-        ));
-    }
-    pi.scale_mut(1.0 / sum);
-    sanitize(pi)
-}
-
-/// ILU(0)-preconditioned BiCGSTAB on the normalization-row system,
-/// followed by iterative refinement.
-fn sparse_bicgstab(
-    generator: &SparseGenerator,
-    tolerance: f64,
-    max_iterations: usize,
+/// Solves a normalization-row system `A x = e_{n−1}` — balance rows of
+/// `Gᵀ`, each scaled by a positive factor, with the last row replaced by
+/// the all-ones normalization row, so `x` is `π` itself — with the Krylov
+/// `solve`, refines it and finishes it into a distribution. Returns the
+/// distribution and the matrix–vector products spent.
+///
+/// The one Krylov driver of the workspace: the CSR tier
+/// ([`Method::BiCgStab`]) and the matrix-free fleet solve
+/// (`dpm_cluster::joint`) differ only in `A`, `a_norm` and `solve`.
+///
+/// Iterative refinement follows the first solve: the Krylov recursion
+/// stops once its residual reaches `tol·‖b‖`, but the *forward* error is
+/// κ(A) times that, which on stiff chains costs five-plus digits against
+/// the backward-stable direct solves. At most two corrections against
+/// the true residual close the gap to the κ(A)·ε floor those solves sit
+/// at. The floor check `‖r‖ ≤ 4ε(‖b‖ + a_norm·‖x‖)` keeps a correction
+/// solve from chasing a right-hand side that is already rounding noise
+/// (its relative target would be unreachable). `a_norm` scales the reach
+/// of rounding in `A·x`: `‖A‖∞` always bounds it, and a caller that knows
+/// a sharper bound on `‖|A|·|x|‖ / ‖x‖` near the solution passes that
+/// instead. The result is renormalized to absorb the residual, and
+/// round-off negatives are clamped.
+///
+/// # Errors
+///
+/// [`CtmcError::Numerical`] when `A` has no rows, the first solve fails
+/// or the solution is not a distribution. A failed correction solve
+/// keeps the uncorrected solution, which already passed the solver's
+/// convergence gate.
+pub fn solve_normalized(
+    a: &dyn LinearOperator,
+    a_norm: f64,
+    solve: impl Fn(&DVector) -> Result<KrylovResult, LinalgError>,
 ) -> Result<(DVector, usize), CtmcError> {
-    let (a, d) = normalization_system(generator);
-    let options = KrylovOptions {
-        tolerance,
-        max_iterations,
-        ..KrylovOptions::default()
-    };
-    let precond = match Ilu0::new(&a) {
-        Ok(m) => Some(m),
-        // Deterministic downgrade: a singular ILU pivot means the pattern
-        // cannot support the factorization; iterate without it.
-        Err(dpm_linalg::LinalgError::Singular { .. }) => None,
-        Err(e) => return Err(CtmcError::Numerical(e)),
-    };
-    let solve = |rhs: &DVector| krylov::bicgstab(&a, rhs, precond.as_ref(), &options);
-    let result = solve(&d).map_err(CtmcError::Numerical)?;
+    let n = a.nrows();
+    if n == 0 {
+        return Err(CtmcError::Numerical(LinalgError::InvalidInput {
+            reason: "normalization-row system has no rows".to_owned(),
+        }));
+    }
+    let mut b = DVector::zeros(n);
+    b[n - 1] = 1.0;
+    let result = solve(&b).map_err(CtmcError::Numerical)?;
     let mut x = result.solution;
     let mut iterations = result.iterations;
-    // Iterative refinement: the Krylov recursion stops once its residual
-    // reaches `tol·‖b‖`, but the *forward* error is κ(A) times that, which
-    // on stiff chains costs five-plus digits against the backward-stable
-    // direct solves. Correcting against the true residual closes the gap
-    // to the κ(A)·ε floor those solves sit at. The floor check keeps the
-    // correction solve from chasing a right-hand side that is already
-    // rounding noise (its relative target would be unreachable).
-    let a_norm = a_norm_inf(&a);
     for _ in 0..KRYLOV_REFINEMENT_STEPS {
-        let r = &d - &a.mul_vec(&x);
-        if r.norm() <= 4.0 * f64::EPSILON * (d.norm() + a_norm * x.norm()) {
+        let r = &b - &a.apply(&x);
+        if r.norm() <= 4.0 * f64::EPSILON * (b.norm() + a_norm * x.norm()) {
             break;
         }
         match solve(&r) {
@@ -710,12 +704,41 @@ fn sparse_bicgstab(
                 x.axpy(1.0, &correction.solution);
                 iterations += correction.iterations;
             }
-            // Best effort: the uncorrected x already passed the solver's
-            // convergence gate.
             Err(_) => break,
         }
     }
-    Ok((finish_krylov(&x)?, iterations))
+    let sum = x.sum();
+    if !sum.is_finite() || sum <= 0.0 {
+        return Err(CtmcError::Numerical(LinalgError::InvalidInput {
+            reason: format!("stationary Krylov solve produced probability mass {sum}"),
+        }));
+    }
+    x.scale_mut(1.0 / sum);
+    Ok((sanitize(x)?, iterations))
+}
+
+/// ILU(0)-preconditioned BiCGSTAB on the normalization-row system.
+fn sparse_bicgstab(
+    generator: &SparseGenerator,
+    tolerance: f64,
+    max_iterations: usize,
+) -> Result<(DVector, usize), CtmcError> {
+    let a = normalization_system(generator);
+    let options = KrylovOptions {
+        tolerance,
+        max_iterations,
+    };
+    let precond = match Ilu0::new(&a) {
+        Ok(m) => Some(m),
+        // Deterministic downgrade: a singular ILU pivot means the pattern
+        // cannot support the factorization; iterate without it.
+        Err(LinalgError::Singular { .. }) => None,
+        Err(e) => return Err(CtmcError::Numerical(e)),
+    };
+    let m = precond.as_ref().map(|m| m as &dyn Precondition);
+    solve_normalized(&a, a_norm_inf(&a), |rhs| {
+        krylov::bicgstab(&a, rhs, m, &options)
+    })
 }
 
 /// Maximum-absolute-row-sum norm of a CSR matrix.
@@ -1456,6 +1479,16 @@ mod tests {
         let (pi, stats) = Solver::new(Method::BiCgStab).solve(&sparse).unwrap();
         assert!((&pi - &reference).norm_inf() < 1e-8);
         assert!(stats.sweeps() > 0);
+    }
+
+    #[test]
+    fn empty_normalization_system_is_an_error() {
+        let a = CsrMatrix::from_triplets(0, 0, &[]).unwrap();
+        let out = solve_normalized(&a, 0.0, |_| unreachable!("no solve on zero rows"));
+        assert!(matches!(
+            out,
+            Err(CtmcError::Numerical(LinalgError::InvalidInput { .. }))
+        ));
     }
 
     #[test]

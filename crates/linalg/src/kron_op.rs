@@ -16,12 +16,12 @@
 //! axis, so one term costs `O(Σᵢ nnz(Aᵢ) · N / nᵢ)` with `N = Πᵢ nᵢ` —
 //! the joint matrix is never formed, and storage stays `O(Σᵢ nnz(Aᵢ))`.
 //!
-//! The operator plugs into [`crate::krylov::bicgstab_op`] /
-//! [`crate::krylov::gmres_op`] through [`LinearOperator`], and feeds the
-//! structure-exploiting preconditioners in [`crate::op`]:
-//! [`KroneckerOp::diagonal`] drives point Jacobi, and
+//! The operator plugs into [`crate::krylov::gmres`] (and
+//! [`crate::krylov::bicgstab`]) through [`LinearOperator`].
 //! [`KroneckerOp::trailing_blocks`] extracts the exact diagonal blocks
-//! along the last tensor axis for [`crate::BlockJacobi`].
+//! along the last tensor axis for [`crate::BlockJacobi`], and
+//! [`KroneckerOp::diagonal`] gives the exit rates a caller equilibrates
+//! rows with.
 
 use crate::error::LinalgError;
 use crate::kron::kron_sparse;

@@ -1,4 +1,4 @@
-//! Preconditioned Krylov-subspace solvers over [`CsrMatrix`].
+//! Preconditioned Krylov-subspace solvers over any [`LinearOperator`].
 //!
 //! For generator-shaped systems whose elimination fill outgrows memory
 //! (Kronecker fleet chains), or where plain Gauss–Seidel sweeps converge
@@ -7,23 +7,18 @@
 //! * [`Ilu0`] — incomplete LU factorization with zero fill: the factors
 //!   live on exactly the sparsity pattern of the input matrix;
 //! * [`bicgstab`] — the stabilized bi-conjugate gradient method of
-//!   van der Vorst, for general nonsymmetric systems;
-//! * [`gmres`] — restarted GMRES(m) (Saad & Schultz) with Givens-rotation
-//!   least squares and happy-breakdown detection.
+//!   van der Vorst, for general nonsymmetric systems (the CSR stationary
+//!   tier);
+//! * [`gmres`] — restarted GMRES(60) (Saad & Schultz) with
+//!   Givens-rotation least squares and happy-breakdown detection (the
+//!   matrix-free fleet solve).
 //!
 //! Both solvers are right-preconditioned (they iterate on `A·M⁻¹u = b`,
 //! `x = M⁻¹u`) so the reported residual is the *true* residual `b − Ax`,
-//! not a preconditioned surrogate.
-//!
-//! # Matrix-free operation
-//!
-//! The solvers only touch `A` through matrix–vector products, so each has
-//! an operator-generic twin — [`bicgstab_op`] / [`gmres_op`] — taking any
-//! [`LinearOperator`] and any [`Precondition`] implementation. The
-//! [`CsrMatrix`] entry points are thin wrappers over those twins and
-//! produce bit-identical iterates; implicit operators (e.g.
-//! [`crate::KroneckerOp`] over a Kronecker-factored joint generator) use
-//! the `_op` forms directly and never materialize a matrix.
+//! not a preconditioned surrogate. They touch `A` only through
+//! matrix–vector products, so each takes any [`LinearOperator`] — an
+//! assembled [`CsrMatrix`] or an implicit operator such as
+//! [`crate::KroneckerOp`] — and any [`Precondition`].
 //!
 //! # Determinism
 //!
@@ -76,19 +71,21 @@ const MAX_BICGSTAB_RESTARTS: usize = 8;
 /// declares a happy breakdown (the Krylov subspace became `A`-invariant).
 const HAPPY_BREAKDOWN_TOL: f64 = 1e-14;
 
+/// GMRES restart length `m`: the Arnoldi basis holds at most `m + 1`
+/// vectors of the system's length.
+const GMRES_RESTART: usize = 60;
+
 /// Options shared by the Krylov solvers.
 ///
 /// `tolerance` is relative to `‖b‖₂`: a solve converges when
 /// `‖b − Ax‖₂ ≤ tolerance · ‖b‖₂` (with `max(‖b‖₂, ε)` guarding the
-/// zero-right-hand-side case). `restart` only affects [`gmres`].
+/// zero-right-hand-side case).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KrylovOptions {
     /// Relative residual tolerance. Default `1e-12`.
     pub tolerance: f64,
     /// Total matrix–vector product budget across restarts. Default `10_000`.
     pub max_iterations: usize,
-    /// GMRES restart length `m`. Default `30`.
-    pub restart: usize,
 }
 
 impl Default for KrylovOptions {
@@ -96,7 +93,6 @@ impl Default for KrylovOptions {
         KrylovOptions {
             tolerance: 1e-12,
             max_iterations: 10_000,
-            restart: 30,
         }
     }
 }
@@ -317,24 +313,6 @@ fn true_residual(a: &dyn LinearOperator, x: &DVector, b: &DVector) -> f64 {
 /// [`LinalgError::InvalidInput`] for malformed systems and
 /// [`LinalgError::NotConverged`] as described above.
 pub fn bicgstab(
-    a: &CsrMatrix,
-    b: &DVector,
-    m: Option<&Ilu0>,
-    options: &KrylovOptions,
-) -> Result<KrylovResult, LinalgError> {
-    bicgstab_op(a, b, m.map(|p| p as &dyn Precondition), options)
-}
-
-/// Operator-generic BiCGSTAB: identical algorithm to [`bicgstab`], but
-/// `A` is any [`LinearOperator`] and `M` any [`Precondition`] — this is
-/// the matrix-free entry point for implicit (e.g. Kronecker-factored)
-/// systems. [`bicgstab`] delegates here, so both paths are bit-identical
-/// on assembled matrices.
-///
-/// # Errors
-///
-/// Same contract as [`bicgstab`].
-pub fn bicgstab_op(
     a: &dyn LinearOperator,
     b: &DVector,
     m: Option<&dyn Precondition>,
@@ -553,7 +531,7 @@ pub fn bicgstab_op(
     }
 }
 
-/// Solves `Ax = b` with restarted, right-preconditioned GMRES(m).
+/// Solves `Ax = b` with restarted, right-preconditioned GMRES(60).
 ///
 /// The Arnoldi least-squares problem is solved with Givens rotations; a
 /// subdiagonal `h_{j+1,j}` below `HAPPY_BREAKDOWN_TOL` (relative to the
@@ -567,22 +545,6 @@ pub fn bicgstab_op(
 /// [`LinalgError::InvalidInput`] for malformed systems and
 /// [`LinalgError::NotConverged`] when the iteration budget runs out.
 pub fn gmres(
-    a: &CsrMatrix,
-    b: &DVector,
-    m: Option<&Ilu0>,
-    options: &KrylovOptions,
-) -> Result<KrylovResult, LinalgError> {
-    gmres_op(a, b, m.map(|p| p as &dyn Precondition), options)
-}
-
-/// Operator-generic GMRES(m): identical algorithm to [`gmres`] over any
-/// [`LinearOperator`] / [`Precondition`] pair — the matrix-free entry
-/// point. [`gmres`] delegates here.
-///
-/// # Errors
-///
-/// Same contract as [`gmres`].
-pub fn gmres_op(
     a: &dyn LinearOperator,
     b: &DVector,
     m: Option<&dyn Precondition>,
@@ -600,7 +562,7 @@ pub fn gmres_op(
             residual: 0.0,
         });
     }
-    let restart = options.restart.clamp(1, n.max(1));
+    let restart = GMRES_RESTART.min(n);
     let mut iterations = 0usize;
     while iterations < options.max_iterations {
         let mut r = b - &a.apply(&x);
@@ -829,18 +791,6 @@ mod tests {
         // One matvec: the first Arnoldi step is already invariant.
         assert_eq!(out.iterations, 1);
         assert!(residual_of(&a, &out.solution, &b) <= 1e-12 * b.norm());
-    }
-
-    #[test]
-    fn gmres_respects_restart_lengths() {
-        let a = nonsymmetric(60);
-        let b = DVector::from_fn(60, |i| ((i * 7) % 11) as f64 - 5.0);
-        let opts = KrylovOptions {
-            restart: 5,
-            ..KrylovOptions::default()
-        };
-        let out = gmres(&a, &b, None, &opts).unwrap();
-        assert!(residual_of(&a, &out.solution, &b) <= 1e-9 * b.norm());
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!   cluster-joint generators (`⊕ᵢ Qᵢ + Σⱼ cⱼ ⊗ᵢ Cⱼᵢ`);
 //! * [`LinearOperator`] / [`Precondition`] — the operator and
 //!   preconditioner abstractions the Krylov tier is generic over, with
-//!   [`Jacobi`] and [`BlockJacobi`] as structure-exploiting
-//!   preconditioners for implicit operators;
+//!   [`BlockJacobi`] as the structure-exploiting preconditioner for
+//!   implicit operators;
 //! * [`CsrMatrix`] — compressed sparse row storage with `y = Ax` / `y = Aᵀx`
 //!   products, transposition and row iteration, for generator matrices whose
 //!   nonzero count grows linearly in the state count;
-//! * [`krylov`] — preconditioned Krylov solvers (BiCGSTAB, restarted
-//!   GMRES(m)) with an ILU(0) preconditioner, the tier for generator
-//!   systems whose elimination fill outgrows a direct solve (Kronecker
-//!   fleet chains).
+//! * [`krylov`] — preconditioned Krylov solvers over any
+//!   [`LinearOperator`] (BiCGSTAB, restarted GMRES(60)) with an ILU(0)
+//!   preconditioner, the tier for generator systems whose elimination
+//!   fill outgrows a direct solve (Kronecker fleet chains).
 //!
 //! # Examples
 //!
@@ -61,7 +61,7 @@ pub use kron::{kron, kron_sparse, kron_sum, kron_sum_sparse};
 pub use kron_op::KroneckerOp;
 pub use lu::Lu;
 pub use matrix::DMatrix;
-pub use op::{BlockJacobi, Jacobi, LinearOperator, Precondition};
+pub use op::{BlockJacobi, LinearOperator, Precondition};
 pub use sparse::CsrMatrix;
 pub use vector::DVector;
 

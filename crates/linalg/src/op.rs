@@ -5,29 +5,20 @@
 //! itself. [`LinearOperator`] captures exactly that contract, so implicit
 //! operators — Kronecker-factored generators ([`crate::KroneckerOp`]),
 //! scaled/augmented wrappers — feed the same solvers as an assembled
-//! [`CsrMatrix`], bit-for-bit: the explicit-matrix entry points are thin
-//! wrappers over the operator-generic code paths.
+//! [`CsrMatrix`]: each Krylov method has one entry point, taking
+//! `&dyn LinearOperator`.
 //!
-//! [`Precondition`] is the matching abstraction on the `M⁻¹r` side.
-//! [`crate::krylov::Ilu0`] implements it, as do the structure-exploiting
-//! preconditioners here:
-//!
-//! * [`Jacobi`] — diagonal scaling, the cheapest thing that helps on
-//!   diagonally dominant generator systems, and the only O(n)-memory
-//!   choice at joint-space scale;
-//! * [`BlockJacobi`] — independent dense LU solves on the diagonal
-//!   blocks, the natural preconditioner for Kronecker-sum operators
-//!   whose trailing factor gives the block structure.
+//! [`Precondition`] is the matching abstraction on the `M⁻¹r` side. Two
+//! preconditioners implement it: [`crate::krylov::Ilu0`] for assembled
+//! matrices, and [`BlockJacobi`] — independent dense LU solves on the
+//! diagonal blocks, the natural preconditioner for Kronecker-sum
+//! operators whose trailing factor gives the block structure.
 
 use crate::error::LinalgError;
 use crate::lu::Lu;
 use crate::matrix::DMatrix;
 use crate::sparse::CsrMatrix;
 use crate::vector::DVector;
-
-/// Relative floor below which a [`Jacobi`] diagonal entry is treated as
-/// zero (the preconditioner falls back to the identity on that row).
-const JACOBI_PIVOT_FLOOR: f64 = 1e-300;
 
 /// Something that can act as `y = A·x` on dense vectors.
 ///
@@ -99,67 +90,6 @@ pub trait Precondition {
     fn precondition(&self, r: &DVector) -> Result<DVector, LinalgError>;
 }
 
-/// Diagonal (Jacobi) preconditioner: `M⁻¹ = diag(d)⁻¹`.
-///
-/// Rows whose diagonal magnitude is below an absolute floor pass through
-/// unscaled, so a structurally zero diagonal entry degrades gracefully to
-/// the identity instead of producing infinities.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Jacobi {
-    inv_diag: Vec<f64>,
-}
-
-impl Jacobi {
-    /// Builds the preconditioner from the operator's diagonal.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::InvalidInput`] if `diag` is empty or contains a
-    /// non-finite entry.
-    pub fn new(diag: &DVector) -> Result<Jacobi, LinalgError> {
-        if diag.is_empty() {
-            return Err(LinalgError::InvalidInput {
-                reason: "jacobi preconditioner needs a non-empty diagonal".to_owned(),
-            });
-        }
-        if !diag.iter().all(f64::is_finite) {
-            return Err(LinalgError::InvalidInput {
-                reason: "jacobi preconditioner needs a finite diagonal".to_owned(),
-            });
-        }
-        let inv_diag = diag
-            .iter()
-            .map(|d| {
-                if d.abs() <= JACOBI_PIVOT_FLOOR {
-                    1.0
-                } else {
-                    1.0 / d
-                }
-            })
-            .collect();
-        Ok(Jacobi { inv_diag })
-    }
-
-    /// Dimension of the preconditioner.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.inv_diag.len()
-    }
-}
-
-impl Precondition for Jacobi {
-    fn precondition(&self, r: &DVector) -> Result<DVector, LinalgError> {
-        if r.len() != self.inv_diag.len() {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "jacobi precondition",
-                left: (self.inv_diag.len(), self.inv_diag.len()),
-                right: (r.len(), 1),
-            });
-        }
-        Ok(DVector::from_fn(r.len(), |i| r[i] * self.inv_diag[i]))
-    }
-}
-
 /// Block-Jacobi preconditioner: independent dense LU solves on a list of
 /// diagonal blocks.
 ///
@@ -168,8 +98,7 @@ impl Precondition for Jacobi {
 /// block. For a Kronecker-structured operator the trailing-axis diagonal
 /// blocks ([`crate::KroneckerOp::trailing_blocks`]) capture the full
 /// coupling of the last factor plus a per-block diagonal shift from the
-/// leading factors — a far stronger approximation than point Jacobi at a
-/// memory cost of `n_blocks · block_dim²`.
+/// leading factors, at a memory cost of `n_blocks · block_dim²`.
 #[derive(Debug, Clone)]
 pub struct BlockJacobi {
     factors: Vec<Lu>,
@@ -257,25 +186,6 @@ mod tests {
         assert!(!op.is_square());
         assert!(op.is_finite());
         assert_eq!(op.apply(&x).as_slice(), a.mul_vec(&x).as_slice());
-    }
-
-    #[test]
-    fn jacobi_scales_by_the_diagonal() {
-        let m = Jacobi::new(&DVector::from_vec(vec![2.0, -4.0, 0.0])).unwrap();
-        let x = m
-            .precondition(&DVector::from_vec(vec![2.0, 2.0, 5.0]))
-            .unwrap();
-        // The zero diagonal entry passes through unscaled.
-        assert_eq!(x.as_slice(), &[1.0, -0.5, 5.0]);
-        assert_eq!(m.dim(), 3);
-    }
-
-    #[test]
-    fn jacobi_rejects_bad_diagonals() {
-        assert!(Jacobi::new(&DVector::zeros(0)).is_err());
-        assert!(Jacobi::new(&DVector::from_vec(vec![1.0, f64::NAN])).is_err());
-        let m = Jacobi::new(&DVector::from_vec(vec![1.0])).unwrap();
-        assert!(m.precondition(&DVector::zeros(2)).is_err());
     }
 
     #[test]

@@ -136,7 +136,7 @@ else
     echo "($CORES core(s): skipping the 4-shard speedup leg; bit-identity already gated above)"
 fi
 
-echo "=== cluster smoke (K=2: matrix-free == materialized == lumped-refined) ==="
+echo "=== cluster smoke (K=2: matrix-free == materialized == lumped-refined, no escalation) ==="
 cargo build --release -q -p dpm-bench --bin bench_cluster
 # bench_cluster self-gates the three solve paths against each other and
 # exits non-zero on any disagreement; K=2 keeps the joint gate tiny, and
@@ -146,6 +146,11 @@ cargo build --release -q -p dpm-bench --bin bench_cluster
     --out "$SMOKE_DIR/bench_cluster.json" > /dev/null
 grep -q '"matrix_free_matches_materialized": true' "$SMOKE_DIR/bench_cluster.json"
 grep -q '"lumping_refines_to_joint": true' "$SMOKE_DIR/bench_cluster.json"
+# Every gate solve must run preconditioned: no block-Jacobi escalation.
+if grep -q '"escalated": true' "$SMOKE_DIR/bench_cluster.json"; then
+    echo "a matrix-free gate solve escalated (block-Jacobi factorization singular)" >&2
+    exit 1
+fi
 
 echo "=== criterion micro-bench smoke (kernels must stay compiling) ==="
 cargo bench --workspace --no-run -q
