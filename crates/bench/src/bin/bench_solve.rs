@@ -8,7 +8,8 @@
 //!    timed at the converged policy, where it must be a fixpoint.
 //! 2. **Solve-phase pipeline**: a weight sweep as a
 //!    [`dpm_harness::solve::SolvePlan`] at 1 worker versus
-//!    `--solve-workers`, checked bit-identical.
+//!    `--solve-workers`, checked bit-identical. Each pipeline is timed as
+//!    the mean of 3 runs after one warm-up.
 //! 3. **Stationary solver tiers**: GTH state reduction ([`Method::Gth`]
 //!    on a sparse generator, in reverse Cuthill–McKee order) versus
 //!    ILU(0)-preconditioned BiCGSTAB on synthetic sparse birth–death
@@ -29,7 +30,7 @@
 //!     [--out results/BENCH_solve.json]
 //! ```
 
-use dpm_bench::{row, rule, time_sweeps, timed};
+use dpm_bench::{row, rule, time_sweeps};
 use dpm_core::{optimize, PmSystem, SpModel, SrModel};
 use dpm_ctmc::{
     stationary::{self, Method},
@@ -42,7 +43,8 @@ use dpm_harness::{
 };
 use dpm_mdp::{average, Ctmdp};
 
-/// Timed repetitions of each solver-tier solve, after one untimed warm-up.
+/// Timed repetitions of each pipeline run and solver-tier solve, after
+/// one untimed warm-up.
 const TIMED_ROUNDS: usize = 3;
 
 /// The paper's server model at an enlarged queue capacity.
@@ -131,9 +133,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             optimize::optimal_policy(&sweep_system, w).map_err(|e| e.to_string())
         })
     };
-    let (serial, serial_secs) = timed(|| run_sweep(1));
+    let (serial, serial_secs) = time_sweeps(TIMED_ROUNDS, || run_sweep(1));
     let serial = serial?;
-    let (parallel, parallel_secs) = timed(|| run_sweep(solve_workers));
+    let (parallel, parallel_secs) = time_sweeps(TIMED_ROUNDS, || run_sweep(solve_workers));
     let parallel = parallel?;
     let fingerprint = |records: &[solve::SolveRecord<optimize::OptimalSolution>]| {
         records

@@ -161,6 +161,13 @@ impl PmSystem {
     /// Computes the long-run metrics of `policy` analytically, as long-run
     /// averages from the initial state ([`PmSystem::initial_state_index`]).
     ///
+    /// The policy's chain is factored once
+    /// ([`dpm_ctmc::stationary::ChainFactors`]) and the four metrics are
+    /// four cost vectors solved in one triangular pass. An
+    /// [`crate::optimize::OptimalSolution`] already carries its policy's
+    /// metrics, taken from policy iteration's own factors, with the same
+    /// bits this returns.
+    ///
     /// Any policy is accepted: when its induced chain has several
     /// recurrent classes, the metrics are those of the class mix the
     /// initial state is absorbed into — see [`PmSystem::evaluate_from`].
@@ -213,10 +220,24 @@ impl PmSystem {
                 reason: format!("start index {start} out of range"),
             });
         }
-        // One factorization of the chain serves all four cost vectors.
         let factors = stationary::ChainFactors::new(&self.sparse_generator_for(policy)?)?;
-        let mdp_policy = policy.to_mdp_policy(self)?;
+        self.metrics_from_factors(policy, &factors, start)
+    }
 
+    /// The long-run metrics of `policy` from `start`, given the factors of
+    /// its chain: power, queue length, loss rate and switch frequency are
+    /// four cost vectors solved in one triangular pass
+    /// ([`stationary::ChainFactors::gains_each`]).
+    /// [`PmSystem::evaluate_from`] factors the chain first;
+    /// [`crate::optimize::optimal_policy`] passes the factors policy
+    /// iteration's last round built.
+    pub(crate) fn metrics_from_factors(
+        &self,
+        policy: &PmPolicy,
+        factors: &stationary::ChainFactors,
+        start: usize,
+    ) -> Result<PolicyMetrics, DpmError> {
+        let mdp_policy = policy.to_mdp_policy(self)?;
         let power_costs = DVector::from_fn(self.n_states(), |i| {
             self.power_cost(i, mdp_policy.action(i))
         });
@@ -234,10 +255,9 @@ impl PmSystem {
             }
         });
 
-        let power = factors.gains(&power_costs)?[start];
-        let queue_length = factors.gains(&delay_costs)?[start];
-        let loss_rate = factors.gains(&loss_costs)?[start];
-        let switch_frequency = factors.gains(&switch_costs)?[start];
+        let [power, queue_length, loss_rate, switch_frequency] = factors
+            .gains_each([&power_costs, &delay_costs, &loss_costs, &switch_costs])?
+            .map(|gains| gains[start]);
 
         Ok(PolicyMetrics {
             power,

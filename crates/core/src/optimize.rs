@@ -3,7 +3,9 @@
 //! Three entry points:
 //!
 //! * [`optimal_policy`] — minimize `C_pow + w · C_sq` for one weight `w`
-//!   by policy iteration (the paper's Figure 3 workflow);
+//!   by policy iteration (the paper's Figure 3 workflow). Each policy's
+//!   chain is factored once: the metrics of the optimum come from the
+//!   factors of the round that evaluated it;
 //! * [`sweep`] — trace the power/performance frontier by sweeping `w`
 //!   (how the paper generates its Figure 4 curve);
 //! * [`constrained_policy`] / [`constrained_lp`] — minimize power subject
@@ -33,7 +35,12 @@ impl OptimalSolution {
         &self.policy
     }
 
-    /// Long-run metrics of the optimal policy.
+    /// Long-run metrics of the optimal policy, from the initial state.
+    ///
+    /// They come from the chain factors of policy iteration's last round,
+    /// which evaluated this very policy, so no second factorization is
+    /// made; the bits equal those of [`PmSystem::evaluate`] on
+    /// [`OptimalSolution::policy`].
     #[must_use]
     pub fn metrics(&self) -> &PolicyMetrics {
         &self.metrics
@@ -69,8 +76,8 @@ impl OptimalSolution {
 ///
 /// # Errors
 ///
-/// Returns [`DpmError::InvalidModel`] for a bad weight and propagates
-/// solver failures.
+/// Returns [`DpmError::InvalidModel`] for a bad weight or a provider
+/// without an active mode, and propagates solver failures.
 ///
 /// # Examples
 ///
@@ -100,11 +107,14 @@ pub fn optimal_policy(system: &PmSystem, weight: f64) -> Result<OptimalSolution,
     // min-cost default start is "stay everywhere", whose chain decomposes
     // into one class per mode.)
     let initial =
-        PmPolicy::always_on(system, fastest_active_mode(system))?.to_mdp_policy(system)?;
+        PmPolicy::always_on(system, fastest_active_mode(system)?)?.to_mdp_policy(system)?;
     let solution =
         average::policy_iteration_multichain(&mdp, initial, &options).map_err(DpmError::Mdp)?;
     let policy = PmPolicy::from_mdp_policy(system, solution.policy())?;
-    let metrics = system.evaluate(&policy)?;
+    // The last round evaluated this very policy: its chain factors give
+    // the metrics with no second factorization.
+    let metrics =
+        system.metrics_from_factors(&policy, solution.factors(), system.initial_state_index())?;
     Ok(OptimalSolution {
         policy,
         metrics,
@@ -115,18 +125,16 @@ pub fn optimal_policy(system: &PmSystem, weight: f64) -> Result<OptimalSolution,
     })
 }
 
-fn fastest_active_mode(system: &PmSystem) -> usize {
+/// The active mode with the highest service rate, where policy iteration
+/// starts.
+fn fastest_active_mode(system: &PmSystem) -> Result<usize, DpmError> {
     let sp = system.provider();
     sp.active_modes()
         .into_iter()
-        .max_by(|&a, &b| {
-            sp.service_rate(a)
-                .partial_cmp(&sp.service_rate(b))
-                // dpm-lint: allow(no_panic, reason = "rates are validated finite when the model is constructed")
-                .expect("finite rates")
+        .max_by(|&a, &b| sp.service_rate(a).total_cmp(&sp.service_rate(b)))
+        .ok_or_else(|| DpmError::InvalidModel {
+            reason: "provider has no active mode".to_owned(),
         })
-        // dpm-lint: allow(no_panic, reason = "SpModel validation guarantees an active mode")
-        .expect("provider has an active mode")
 }
 
 /// Solves for every weight in `weights`, returning the frontier in input

@@ -32,17 +32,22 @@ fn log_weight(i: usize, n: usize) -> f64 {
     0.02 * 1e4f64.powf(t)
 }
 
+/// The paper server at queue capacity `capacity`.
+fn paper_system(capacity: usize) -> PmSystem {
+    PmSystem::builder()
+        .provider(SpModel::dac99_server().unwrap())
+        .requestor(SrModel::poisson(LAMBDA).unwrap())
+        .capacity(capacity)
+        .build()
+        .unwrap()
+}
+
 /// One line per point, in sweep order: capacity, weight bits, then the
 /// solution's outputs or the error message.
 fn frontier_lines(capacities: &[usize]) -> String {
     let mut lines = String::new();
     for &capacity in capacities {
-        let system = PmSystem::builder()
-            .provider(SpModel::dac99_server().unwrap())
-            .requestor(SrModel::poisson(LAMBDA).unwrap())
-            .capacity(capacity)
-            .build()
-            .unwrap();
+        let system = paper_system(capacity);
         for i in 0..WEIGHTS {
             let weight = log_weight(i, WEIGHTS);
             let _ = write!(lines, "Q={capacity} w={:016x} ", weight.to_bits());
@@ -94,4 +99,45 @@ fn q20_frontier_matches_golden_digest() {
 #[ignore = "102 solves; run optimized by scripts/ci.sh"]
 fn full_frontier_matches_golden_digest() {
     assert_digest(&[20, 50, 100], 0xd13e_fcb2_5d75_4206, 25);
+}
+
+/// `optimal_policy` takes its metrics from the factors policy iteration's
+/// last round built over the CTMDP's generator; `PmSystem::evaluate`
+/// factors the generator `PmSystem` builds itself. At every solved Q = 20
+/// weight the two generators are the same CSR arrays, bit for bit, and
+/// the two sets of metrics agree in every bit.
+#[test]
+fn q20_optimal_metrics_match_a_fresh_evaluation() {
+    let system = paper_system(20);
+    let entries = |csr: &dpm_linalg::CsrMatrix| {
+        csr.iter()
+            .map(|(r, c, v)| (r, c, v.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let mut solved = 0;
+    for i in 0..WEIGHTS {
+        let weight = log_weight(i, WEIGHTS);
+        let Ok(solution) = optimize::optimal_policy(&system, weight) else {
+            continue;
+        };
+        solved += 1;
+        let policy = solution.policy();
+        let mdp_policy = policy.to_mdp_policy(&system).unwrap();
+        let ctmdp = system.ctmdp(weight).unwrap();
+        assert_eq!(
+            entries(ctmdp.sparse_generator_for(&mdp_policy).unwrap().csr()),
+            entries(system.sparse_generator_for(policy).unwrap().csr()),
+            "w = {weight}: the two generator builders differ"
+        );
+        let (got, want) = (solution.metrics(), system.evaluate(policy).unwrap());
+        for (name, a, b) in [
+            ("power", got.power(), want.power()),
+            ("queue", got.queue_length(), want.queue_length()),
+            ("loss", got.loss_rate(), want.loss_rate()),
+            ("switch", got.switch_frequency(), want.switch_frequency()),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "w = {weight}: {name} {a} vs {b}");
+        }
+    }
+    assert_eq!(solved, WEIGHTS - 7);
 }

@@ -841,7 +841,7 @@ pub fn long_run_average(pi: &DVector, cost_rates: &DVector) -> f64 {
 /// absorption-probability-weighted mixture of the reachable classes' gains,
 /// obtained by solving `G_TT g_T = −G_TR g_R`. A thin wrapper over
 /// [`ChainFactors`]: factor the chain once with [`ChainFactors::new`] and
-/// call [`ChainFactors::gains`] per cost vector when several are needed.
+/// call [`ChainFactors::gains_each`] when several cost vectors are needed.
 ///
 /// # Errors
 ///
@@ -911,7 +911,10 @@ impl std::fmt::Display for ChainBlock {
 ///   from `G_TT v_T = g_T − c_T − G_TR v_R`.
 ///
 /// [`ChainFactors::gains`] and [`ChainFactors::solve`] then cost only
-/// triangular solves per block. If a closed class's block is numerically
+/// triangular solves per block, and [`ChainFactors::gains_each`] solves
+/// several cost vectors in one pass over each block's factors. Policy
+/// iteration keeps its last round's factors, so the metrics of an optimal
+/// policy reuse them. If a closed class's block is numerically
 /// singular, that class's gain comes from its stationary distribution,
 /// solved through [`Solver::with_default_fallback`]; only a request for
 /// that class's bias ([`ChainFactors::solve`]) fails.
@@ -930,27 +933,31 @@ impl std::fmt::Display for ChainBlock {
 /// // π = (3/4, 1/4) on the class: gain 5 everywhere, bias 0 at state 1.
 /// assert!((gains[0] - 5.0).abs() < 1e-12 && (gains[2] - 5.0).abs() < 1e-12);
 /// assert_eq!(bias[1], 0.0);
-/// // Another cost vector reuses the same factors.
-/// let power = factors.gains(&DVector::from_vec(vec![1.0, 1.0, 1.0]))?;
-/// assert!((power[0] - 1.0).abs() < 1e-12);
+/// // Other cost vectors reuse the same factors, several in one pass.
+/// let [ones, power] = factors.gains_each([
+///     &DVector::from_vec(vec![1.0, 1.0, 1.0]),
+///     &DVector::from_vec(vec![9.0, 2.0, 6.0]),
+/// ])?;
+/// assert!((ones[0] - 1.0).abs() < 1e-12);
+/// assert_eq!(power, factors.gains(&DVector::from_vec(vec![9.0, 2.0, 6.0]))?);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainFactors {
     n_states: usize,
     closed: Vec<ClosedClass>,
     transient: Option<TransientBlock>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct ClosedClass {
     /// Members in ascending order; `members[0]` has its bias pinned.
     members: Vec<usize>,
     factor: ClassFactor,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum ClassFactor {
     /// LU of the combined block: bias of `members[1..]`, then the gain
     /// divided by `scale` (see [`gain_scale`]).
@@ -963,7 +970,7 @@ enum ClassFactor {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct TransientBlock {
     /// Transient states in ascending order.
     states: Vec<usize>,
@@ -1078,12 +1085,29 @@ impl ChainFactors {
     }
 
     /// Per-state gains of `costs`: the class average on closed classes,
-    /// the absorption-weighted mixture on transient states.
+    /// the absorption-weighted mixture on transient states. The one-vector
+    /// case of [`ChainFactors::gains_each`].
     ///
     /// # Errors
     ///
     /// Returns [`CtmcError::InvalidParameter`] on a length mismatch.
     pub fn gains(&self, costs: &DVector) -> Result<DVector, CtmcError> {
+        let [gains] = self.gains_each([costs])?;
+        Ok(gains)
+    }
+
+    /// Per-state gains of each of `K` cost vectors in one pass: each
+    /// block's triangular factors are read once and applied to all `K`
+    /// right-hand sides ([`Lu::solve_each`]). Each result has the bits
+    /// [`ChainFactors::gains`] gives its cost vector alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CtmcError::InvalidParameter`] on a length mismatch.
+    pub fn gains_each<const K: usize>(
+        &self,
+        costs: [&DVector; K],
+    ) -> Result<[DVector; K], CtmcError> {
         self.solve_blocks(costs, false).map(|(gains, _)| gains)
     }
 
@@ -1096,34 +1120,39 @@ impl ChainFactors {
     /// [`CtmcError::SingularBlock`] if a closed class's block was singular
     /// (its gain is still available through [`ChainFactors::gains`]).
     pub fn solve(&self, costs: &DVector) -> Result<(DVector, DVector), CtmcError> {
-        self.solve_blocks(costs, true)
+        let ([gains], [bias]) = self.solve_blocks([costs], true)?;
+        Ok((gains, bias))
     }
 
-    /// Gains, and with `with_bias` the bias (zero otherwise), block by
-    /// block: closed classes first, then the transient block they feed.
-    fn solve_blocks(
+    /// Gains, and with `with_bias` the bias (zero otherwise), of each cost
+    /// vector, block by block: closed classes first, then the transient
+    /// block they feed.
+    fn solve_blocks<const K: usize>(
         &self,
-        costs: &DVector,
+        costs: [&DVector; K],
         with_bias: bool,
-    ) -> Result<(DVector, DVector), CtmcError> {
+    ) -> Result<([DVector; K], [DVector; K]), CtmcError> {
         let n = self.n_states;
-        if costs.len() != n {
+        if let Some(bad) = costs.iter().find(|c| c.len() != n) {
             return Err(CtmcError::InvalidParameter {
-                reason: format!("cost vector length {} != {n}", costs.len()),
+                reason: format!("cost vector length {} != {n}", bad.len()),
             });
         }
-        let mut gains = DVector::zeros(n);
-        let mut bias = DVector::zeros(n);
+        let mut gains: [DVector; K] = std::array::from_fn(|_| DVector::zeros(n));
+        let mut bias: [DVector; K] = std::array::from_fn(|_| DVector::zeros(n));
         for class in &self.closed {
             let members = &class.members;
             let k = members.len();
-            let gain = match &class.factor {
+            let gain: [f64; K] = match &class.factor {
                 ClassFactor::Lu { lu, scale } => {
-                    let x = lu.solve(&DVector::from_fn(k, |l| -costs[members[l]]))?;
-                    for (l, &state) in members.iter().enumerate().skip(1) {
-                        bias[state] = x[l - 1];
+                    let rhs = costs.map(|c| DVector::from_fn(k, |l| -c[members[l]]));
+                    let x = lu.solve_each(rhs.each_ref())?;
+                    for (x, bias) in x.iter().zip(&mut bias) {
+                        for (l, &state) in members.iter().enumerate().skip(1) {
+                            bias[state] = x[l - 1];
+                        }
                     }
-                    scale * x[k - 1]
+                    x.map(|x| scale * x[k - 1])
                 }
                 ClassFactor::Stationary { pi, pivot, .. } => {
                     if with_bias {
@@ -1134,42 +1163,60 @@ impl ChainFactors {
                             pivot: *pivot,
                         });
                     }
-                    members
-                        .iter()
-                        .enumerate()
-                        .map(|(l, &state)| pi[l] * costs[state])
-                        .sum()
+                    costs.map(|c| {
+                        members
+                            .iter()
+                            .enumerate()
+                            .map(|(l, &state)| pi[l] * c[state])
+                            .sum()
+                    })
                 }
             };
-            for &state in members {
-                gains[state] = gain;
+            for (gains, gain) in gains.iter_mut().zip(gain) {
+                for &state in members {
+                    gains[state] = gain;
+                }
             }
         }
         if let Some(block) = &self.transient {
             let t = block.states.len();
-            let mut rhs = DVector::zeros(t);
-            for &(row, j, rate) in &block.exits {
-                rhs[row] -= rate * gains[j];
-            }
-            let g_t = block.lu.solve(&rhs)?;
-            for (row, &i) in block.states.iter().enumerate() {
-                gains[i] = g_t[row];
+            let rhs = gains
+                .each_ref()
+                .map(|g| block.minus_exits(DVector::zeros(t), g));
+            let g_t = block.lu.solve_each(rhs.each_ref())?;
+            for (gains, g_t) in gains.iter_mut().zip(&g_t) {
+                for (row, &i) in block.states.iter().enumerate() {
+                    gains[i] = g_t[row];
+                }
             }
             if with_bias {
-                let mut rhs = DVector::from_fn(t, |row| {
-                    let i = block.states[row];
-                    gains[i] - costs[i]
+                let rhs: [DVector; K] = std::array::from_fn(|r| {
+                    let gap = DVector::from_fn(t, |row| {
+                        let i = block.states[row];
+                        gains[r][i] - costs[r][i]
+                    });
+                    block.minus_exits(gap, &bias[r])
                 });
-                for &(row, j, rate) in &block.exits {
-                    rhs[row] -= rate * bias[j];
-                }
-                let v_t = block.lu.solve(&rhs)?;
-                for (row, &i) in block.states.iter().enumerate() {
-                    bias[i] = v_t[row];
+                let v_t = block.lu.solve_each(rhs.each_ref())?;
+                for (bias, v_t) in bias.iter_mut().zip(&v_t) {
+                    for (row, &i) in block.states.iter().enumerate() {
+                        bias[i] = v_t[row];
+                    }
                 }
             }
         }
         Ok((gains, bias))
+    }
+}
+
+impl TransientBlock {
+    /// `rhs − G_TR·values_R`: subtracts every rate leaving the block,
+    /// weighted by the value of the recurrent state it enters.
+    fn minus_exits(&self, mut rhs: DVector, values: &DVector) -> DVector {
+        for &(row, j, rate) in &self.exits {
+            rhs[row] -= rate * values[j];
+        }
+        rhs
     }
 }
 

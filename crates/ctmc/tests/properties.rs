@@ -601,6 +601,64 @@ proptest! {
     }
 }
 
+/// `g` with the 3-state class of the singular-block unit test in
+/// `stationary.rs` appended (`a → b` at 1, `b → a` and `b → c` at 1e15,
+/// `c → b` at 1e-3): its combined gain/bias block is numerically singular,
+/// so its gain takes the stationary path. One more transient state feeds
+/// both it and state 0. The costs grow to match.
+fn with_singular_class(g: &Generator, costs: &[DVector]) -> (SparseGenerator, Vec<DVector>) {
+    let n = g.n_states();
+    let mut transitions: Vec<(usize, usize, f64)> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j)))
+        .filter(|&(i, j)| i != j && g.rate(i, j) > 0.0)
+        .map(|(i, j)| (i, j, g.rate(i, j)))
+        .collect();
+    let (a, b, c, t) = (n, n + 1, n + 2, n + 3);
+    transitions.extend([
+        (a, b, 1.0),
+        (b, a, 1e15),
+        (b, c, 1e15),
+        (c, b, 1e-3),
+        (t, a, 1.0),
+        (t, 0, 2.0),
+    ]);
+    let sparse = SparseGenerator::from_transitions(n + 4, &transitions).expect("valid rates");
+    let costs = costs
+        .iter()
+        .map(|cost| {
+            #[allow(clippy::cast_precision_loss)]
+            DVector::from_fn(n + 4, |i| cost.get(i).unwrap_or(3.0 * i as f64))
+        })
+        .collect();
+    (sparse, costs)
+}
+
+proptest! {
+    #[test]
+    fn chain_factors_gains_each_matches_lone_gains(
+        ((g, costs), singular) in (multichain_generator(), 0usize..2)
+    ) {
+        let (sparse, costs) = if singular == 1 {
+            with_singular_class(&g, &costs)
+        } else {
+            (SparseGenerator::from_generator(&g), costs)
+        };
+        let factors = stationary::ChainFactors::new(&sparse).expect("every block factors");
+        if singular == 1 {
+            prop_assert!(factors.class_fallbacks().count() >= 1, "no stationary-path class");
+        }
+        let mixed = DVector::from_fn(sparse.n_states(), |i| costs[0][i] - costs[1][i]);
+        let all = [&costs[0], &costs[1], &costs[2], &mixed];
+        let each = factors.gains_each(all).expect("gains");
+        for (r, (shared, c)) in each.iter().zip(all).enumerate() {
+            let lone = factors.gains(c).expect("gains");
+            for (i, (x, y)) in shared.iter().zip(lone.iter()).enumerate() {
+                prop_assert_eq!(x.to_bits(), y.to_bits(), "cost vector {}, state {}", r, i);
+            }
+        }
+    }
+}
+
 /// A unichain generator: one closed class — a ring of 2–6 states plus
 /// extra edges inside it — and 1–4 transient states, each with an edge
 /// into the class plus extra edges to any state. Rates come from

@@ -27,7 +27,7 @@ const PIVOT_EPS: f64 = 1e-13;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lu {
     /// Packed L (unit lower, below diagonal) and U (upper, on/above diagonal).
     factors: DMatrix,
@@ -127,34 +127,57 @@ impl Lu {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
     pub fn solve(&self, b: &DVector) -> Result<DVector, LinalgError> {
+        let [x] = self.solve_each([b])?;
+        Ok(x)
+    }
+
+    /// Solves `A x_r = b_r` for each of `K` right-hand sides in one pass
+    /// over the factors: each factor row is read once and applied to all
+    /// `K` vectors.
+    ///
+    /// Every right-hand side runs the same subtractions in the same order
+    /// as a lone [`Lu::solve`], so each `x_r` has its bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if some `b_r.len() !=
+    /// self.dim()`.
+    pub fn solve_each<const K: usize>(
+        &self,
+        b: [&DVector; K],
+    ) -> Result<[DVector; K], LinalgError> {
         let n = self.dim();
-        if b.len() != n {
+        if let Some(bad) = b.iter().find(|v| v.len() != n) {
             return Err(LinalgError::DimensionMismatch {
                 operation: "lu solve",
                 left: (n, n),
-                right: (b.len(), 1),
+                right: (bad.len(), 1),
             });
         }
         let f = self.factors.as_slice();
-        // Apply permutation: y = P b.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        // Apply permutation: y = P b, the K entries of a row side by side.
+        let mut x: Vec<[f64; K]> = self.perm.iter().map(|&p| b.map(|v| v[p])).collect();
         // Forward substitution with unit lower triangle.
         for i in 1..n {
-            x[i] = f[i * n..i * n + i]
+            let (done, rest) = x.split_at_mut(i);
+            rest[0] = f[i * n..i * n + i]
                 .iter()
-                .zip(&x[..i])
-                .fold(x[i], |sum, (l, xk)| sum - l * xk);
+                .zip(done.iter())
+                .fold(rest[0], |sum, (&l, xk)| sub_scaled(sum, l, xk));
         }
         // Back substitution with upper triangle.
         for i in (0..n).rev() {
             let row = &f[i * n..(i + 1) * n];
+            let (head, done) = x.split_at_mut(i + 1);
             let sum = row[i + 1..]
                 .iter()
-                .zip(&x[i + 1..])
-                .fold(x[i], |sum, (u, xk)| sum - u * xk);
-            x[i] = sum / row[i];
+                .zip(done.iter())
+                .fold(head[i], |sum, (&u, xk)| sub_scaled(sum, u, xk));
+            head[i] = sum.map(|s| s / row[i]);
         }
-        Ok(DVector::from_vec(x))
+        Ok(std::array::from_fn(|r| {
+            DVector::from_vec(x.iter().map(|xi| xi[r]).collect())
+        }))
     }
 
     /// Solves `A X = B` column by column.
@@ -203,6 +226,14 @@ impl Lu {
     pub fn inverse(&self) -> Result<DMatrix, LinalgError> {
         self.solve_matrix(&DMatrix::identity(self.dim()))
     }
+}
+
+/// `sum_r − a·x_r` for each right-hand side `r`: one substitution step.
+fn sub_scaled<const K: usize>(mut sum: [f64; K], a: f64, x: &[f64; K]) -> [f64; K] {
+    for (s, xr) in sum.iter_mut().zip(x) {
+        *s -= a * xr;
+    }
+    sum
 }
 
 /// Whether `x` is an exact zero: a factor or pivot-row entry that is one
@@ -327,6 +358,23 @@ mod tests {
         }
     }
 
+    /// Asserts that one four-vector pass gives each right-hand side the
+    /// bits of its lone [`Lu::solve`] and of the textbook substitutions.
+    fn assert_solve_each_matches_solve(a: &DMatrix, b: &(DVector, DVector, DVector, DVector)) {
+        let Ok(lu) = Lu::new(a.clone()) else {
+            return;
+        };
+        let b = [&b.0, &b.1, &b.2, &b.3];
+        for (x, b) in lu.solve_each(b).unwrap().iter().zip(b) {
+            let lone = lu.solve(b).unwrap();
+            let textbook = reference_solve(&lu, b);
+            for ((xi, yi), zi) in x.iter().zip(lone.iter()).zip(textbook.iter()) {
+                prop_assert_eq!(xi.to_bits(), yi.to_bits(), "{x:?} vs lone {lone:?}");
+                prop_assert_eq!(xi.to_bits(), zi.to_bits(), "{x:?} vs textbook {textbook:?}");
+            }
+        }
+    }
+
     fn square(n: usize, entries: Vec<f64>) -> DMatrix {
         DMatrix::from_row_major(n, n, entries).unwrap()
     }
@@ -406,6 +454,10 @@ mod tests {
         prop::collection::vec(-10.0f64..10.0, n).prop_map(DVector::from_vec)
     }
 
+    fn rhs4(n: usize) -> impl Strategy<Value = (DVector, DVector, DVector, DVector)> {
+        (rhs(n), rhs(n), rhs(n), rhs(n))
+    }
+
     proptest! {
         #[test]
         fn dense_factors_match_reference(
@@ -435,6 +487,28 @@ mod tests {
             prop_assert!(Lu::new(a.clone()).is_err());
             assert_matches_reference(&a, &b);
         }
+
+        #[test]
+        fn pivot_swapping_solve_each_matches_lone_solves(
+            (a, b) in (1usize..12).prop_flat_map(|n| (pivot_swapping(n), rhs4(n)))
+        ) {
+            assert_solve_each_matches_solve(&a, &b);
+        }
+
+        #[test]
+        fn sys_like_solve_each_matches_lone_solves(
+            (a, b) in (2usize..40).prop_flat_map(|n| (sys_like(n), rhs4(n)))
+        ) {
+            assert_solve_each_matches_solve(&a, &b);
+        }
+    }
+
+    #[test]
+    fn solve_each_rejects_a_wrong_length() {
+        let lu = DMatrix::identity(3).lu().unwrap();
+        let good = DVector::zeros(3);
+        assert!(lu.solve_each([&good, &DVector::zeros(2)]).is_err());
+        let [] = lu.solve_each([]).unwrap();
     }
 
     #[test]

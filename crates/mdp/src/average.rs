@@ -18,6 +18,9 @@
 //! [`policy_iteration_multichain`] stops at a policy that is its own
 //! improvement, which is average-cost optimal over all stationary policies
 //! (and by Theorem 2.3 of the paper over all piecewise-stationary ones).
+//! The converged round's factors stay in the result
+//! ([`MultichainSolution::factors`]), so other cost vectors of the optimal
+//! policy's chain need no second factorization.
 //!
 //! [`evaluate`] solves the unichain equations `c − g·1 + G v = 0` by one
 //! dense LU. It shares no code with [`ChainFactors`] and serves as the
@@ -167,6 +170,8 @@ pub fn evaluate(
 pub struct MultichainEvaluation {
     gains: DVector,
     bias: DVector,
+    /// The factors the gains and bias came from.
+    factors: ChainFactors,
 }
 
 impl MultichainEvaluation {
@@ -198,8 +203,13 @@ impl MultichainEvaluation {
 pub fn evaluate_multichain(mdp: &Ctmdp, policy: &Policy) -> Result<MultichainEvaluation, MdpError> {
     let generator = mdp.sparse_generator_for(policy)?;
     let costs = mdp.cost_rates_for(policy)?;
-    let (gains, bias) = ChainFactors::new(&generator)?.solve(&costs)?;
-    Ok(MultichainEvaluation { gains, bias })
+    let factors = ChainFactors::new(&generator)?;
+    let (gains, bias) = factors.solve(&costs)?;
+    Ok(MultichainEvaluation {
+        gains,
+        bias,
+        factors,
+    })
 }
 
 /// Result of multichain policy iteration.
@@ -208,6 +218,7 @@ pub struct MultichainSolution {
     policy: Policy,
     gains: DVector,
     bias: DVector,
+    factors: ChainFactors,
     iterations: usize,
     eval_residual: f64,
     eval_secs: Vec<f64>,
@@ -241,6 +252,14 @@ impl MultichainSolution {
     #[must_use]
     pub fn bias(&self) -> &DVector {
         &self.bias
+    }
+
+    /// The optimal policy's chain, factored by the last evaluation round:
+    /// further cost vectors over that chain cost only triangular solves
+    /// ([`ChainFactors::gains_each`]), not another factorization.
+    #[must_use]
+    pub fn factors(&self) -> &ChainFactors {
+        &self.factors
     }
 
     /// Improvement rounds performed.
@@ -407,6 +426,7 @@ pub fn policy_iteration_multichain(
                 policy,
                 gains: eval.gains,
                 bias: eval.bias,
+                factors: eval.factors,
                 iterations: iteration,
                 eval_residual,
                 eval_secs,
