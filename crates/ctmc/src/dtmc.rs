@@ -10,8 +10,9 @@ const ROW_SUM_TOL: f64 = 1e-9;
 /// A discrete-time Markov chain with a validated (row-)stochastic transition
 /// matrix.
 ///
-/// Used directly by the DAC'98 discrete-time baseline formulation and
-/// internally by uniformization-based CTMC algorithms.
+/// Produced by [`Generator::uniformize`](crate::Generator::uniformize)
+/// (transient analysis steps it) and by
+/// [`hitting::embedded_chain`](crate::hitting::embedded_chain).
 ///
 /// # Examples
 ///
@@ -129,32 +130,6 @@ impl Dtmc {
         });
         crate::stationary::gth(n, transitions)
     }
-
-    /// Expected discounted total cost `v = c + β P v` for discount
-    /// `β ∈ [0, 1)`, solved directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtmcError::InvalidParameter`] if `beta` is outside
-    /// `[0, 1)` or `costs` has the wrong length, and propagates numerical
-    /// failures.
-    pub fn discounted_value(&self, costs: &DVector, beta: f64) -> Result<DVector, CtmcError> {
-        if !(0.0..1.0).contains(&beta) {
-            return Err(CtmcError::InvalidParameter {
-                reason: format!("discount factor {beta} must be in [0, 1)"),
-            });
-        }
-        let n = self.n_states();
-        if costs.len() != n {
-            return Err(CtmcError::InvalidParameter {
-                reason: format!("cost vector length {} != {n}", costs.len()),
-            });
-        }
-        // (I - beta P) v = c
-        let a = &DMatrix::identity(n) - &self.matrix.scaled(beta);
-        let v = a.lu()?.solve(costs)?;
-        Ok(v)
-    }
 }
 
 impl fmt::Display for Dtmc {
@@ -211,31 +186,6 @@ mod tests {
         let pi = p.stationary_gth().unwrap();
         for i in 0..3 {
             assert!((pi[i] - 1.0 / 3.0).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn discounted_value_solves_fixed_point() {
-        let p = two_state();
-        let c = DVector::from_vec(vec![1.0, 2.0]);
-        let beta = 0.9;
-        let v = p.discounted_value(&c, beta).unwrap();
-        let rhs = &c + &p.step_value(&v, beta);
-        assert!((&v - &rhs).norm_inf() < 1e-10);
-    }
-
-    #[test]
-    fn discounted_value_validates_inputs() {
-        let p = two_state();
-        let c = DVector::from_vec(vec![1.0, 2.0]);
-        assert!(p.discounted_value(&c, 1.0).is_err());
-        assert!(p.discounted_value(&DVector::zeros(3), 0.5).is_err());
-    }
-
-    impl Dtmc {
-        /// Test helper: `β P v`.
-        fn step_value(&self, v: &DVector, beta: f64) -> DVector {
-            self.matrix.mul_vec(v).scaled(beta)
         }
     }
 }

@@ -196,18 +196,18 @@ impl Generator {
     /// Uniformizes the chain: returns the discrete-time transition matrix
     /// `P = I + G/Λ` and the uniformization constant `Λ`.
     ///
-    /// `Λ` is chosen as `max_exit_rate * margin`; `margin` must be ≥ 1 and
-    /// a small slack (e.g. 1.02) guarantees strictly positive self-loop
-    /// probabilities, which makes the uniformized chain aperiodic.
+    /// `Λ` is chosen as `max_exit_rate * margin`; `margin` must be finite
+    /// and ≥ 1, and a small slack (e.g. 1.02) guarantees strictly positive
+    /// self-loop probabilities, which makes the uniformized chain aperiodic.
     ///
     /// # Errors
     ///
-    /// Returns [`CtmcError::InvalidParameter`] if `margin < 1` or every
-    /// state is absorbing (`max_exit_rate == 0`).
+    /// Returns [`CtmcError::InvalidParameter`] if `margin` is below 1, `NaN`
+    /// or `∞`, or if every state is absorbing (`max_exit_rate == 0`).
     pub fn uniformize(&self, margin: f64) -> Result<(crate::Dtmc, f64), CtmcError> {
-        if margin < 1.0 {
+        if !(margin >= 1.0 && margin.is_finite()) {
             return Err(CtmcError::InvalidParameter {
-                reason: format!("uniformization margin {margin} must be >= 1"),
+                reason: format!("uniformization margin {margin} must be finite and >= 1"),
             });
         }
         let lambda = self.max_exit_rate() * margin;
@@ -403,7 +403,15 @@ mod tests {
     #[test]
     fn uniformize_rejects_bad_margin_and_absorbing_chain() {
         let g = Generator::builder(2).rate(0, 1, 1.0).build().unwrap();
-        assert!(g.uniformize(0.5).is_err());
+        for margin in [0.5, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    g.uniformize(margin),
+                    Err(CtmcError::InvalidParameter { .. })
+                ),
+                "margin {margin}"
+            );
+        }
         // A zero matrix is a valid generator (every state absorbing) but
         // cannot be uniformized.
         let all_absorbing = Generator::from_matrix(DMatrix::zeros(2, 2)).unwrap();

@@ -26,8 +26,8 @@
 //! * [`transient`] — transient state probabilities by uniformization;
 //! * [`reward`] — Markov processes with reward rates and transition rewards
 //!   (the `r_{i,i}` / `r_{i,j}` structure of Section II and Eqn. 2.5);
-//! * [`Dtmc`] — discrete-time chains (used by uniformization and the
-//!   DAC'98 discrete-time baseline);
+//! * [`Dtmc`] — discrete-time chains (the uniformized chain that transient
+//!   analysis steps, and the embedded jump chain);
 //! * [`birth_death`] — closed-form M/M/1/K results used as ground truth in
 //!   tests.
 //!

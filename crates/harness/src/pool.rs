@@ -12,19 +12,16 @@
 //! on other workers need no help. Results land in a slot-per-task vector,
 //! so output order is plan order regardless of which worker ran what.
 //!
-//! Two entry points with different failure contracts:
-//!
-//! * [`run`] — a panicking task propagates its panic to the caller;
-//! * [`run_isolated`] — each task runs under `catch_unwind`, so a panic
-//!   becomes an `Err(message)` in that task's slot and every other task's
-//!   result survives. This is what the resilient runner builds on.
+//! A panicking task propagates its panic to the caller of [`run`]. Callers
+//! that must survive task panics catch them inside the task: the
+//! resilient runner wraps each attempt in `catch_unwind` and renders the
+//! payload with [`panic_message`].
 //!
 //! Lock poisoning is recovered, not propagated: a queue or result mutex
 //! poisoned by a panicking task holds plain data (task indices / finished
 //! results), which stays valid whatever the panic interrupted.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
 /// Runs `n_tasks` tasks on `workers` threads and returns the results in
@@ -128,24 +125,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// As [`run`], but each task is isolated with `catch_unwind`: a panicking
-/// task yields `Err(panic message)` in its own slot instead of tearing down
-/// the pool, and every other task's result is preserved.
-///
-/// The closure is wrapped in `AssertUnwindSafe`: the pool never reuses
-/// whatever state the panic may have left behind — each task's slot is
-/// written exactly once, and the deques hold plain indices.
-pub fn run_isolated<T, F>(n_tasks: usize, workers: usize, task: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run(n_tasks, workers, |index| {
-        catch_unwind(AssertUnwindSafe(|| task(index)))
-            .map_err(|payload| panic_message(payload.as_ref()))
-    })
-}
-
 /// The machine's available parallelism (defaulting to 1 if unknown) — the
 /// default worker count for runners and CLI tools.
 #[must_use]
@@ -223,50 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn isolated_panic_keeps_other_results() {
-        for workers in [1, 4] {
-            let out = run_isolated(16, workers, |i| {
-                assert!(i != 7, "task 7 exploded");
-                i * 2
-            });
-            assert_eq!(out.len(), 16);
-            for (i, slot) in out.iter().enumerate() {
-                if i == 7 {
-                    let err = slot.as_ref().unwrap_err();
-                    assert!(err.contains("task 7 exploded"), "got {err}");
-                } else {
-                    assert_eq!(*slot.as_ref().unwrap(), i * 2);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn isolated_handles_non_string_panic_payload() {
-        let out = run_isolated(2, 1, |i| {
-            if i == 1 {
-                std::panic::panic_any(42_u32);
-            }
-            i
-        });
-        assert_eq!(out[0], Ok(0));
-        assert!(out[1].as_ref().unwrap_err().contains("panicked"));
+    fn panic_message_renders_string_and_other_payloads() {
+        let caught = |payload: Box<dyn std::any::Any + Send>| panic_message(payload.as_ref());
+        assert_eq!(caught(Box::new("static str")), "static str");
+        assert_eq!(caught(Box::new(String::from("formatted"))), "formatted");
         assert_eq!(
-            out[1].as_ref().unwrap_err(),
+            caught(Box::new(42_u32)),
             "panicked with a non-string payload"
         );
-    }
-
-    #[test]
-    fn isolated_survives_many_panics_across_workers() {
-        // Every odd task panics; all even results must still come back —
-        // this is the "poisoned mutexes must not take the run down" case.
-        let out = run_isolated(40, 8, |i| {
-            assert!(i % 2 == 0, "odd task {i}");
-            i
-        });
-        for (i, slot) in out.iter().enumerate() {
-            assert_eq!(slot.is_ok(), i % 2 == 0, "slot {i}: {slot:?}");
-        }
     }
 }

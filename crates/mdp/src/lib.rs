@@ -1,4 +1,4 @@
-//! Markov decision processes in continuous and discrete time.
+//! Continuous-time Markov decision processes and their solvers.
 //!
 //! This crate implements the decision-theoretic layer of the workspace:
 //!
@@ -16,10 +16,7 @@
 //! * [`lp`] — the occupation-measure linear program, both unconstrained
 //!   (the DAC'98 solution technique the paper compares against) and with an
 //!   auxiliary performance constraint, which yields possibly *randomized*
-//!   optimal policies;
-//! * [`Dtmdp`] — a discrete-time MDP with the same solver suite, serving as
-//!   the faithful substrate for the Paleologo et al. (DAC 1998)
-//!   discrete-time baseline.
+//!   optimal policies.
 //!
 //! All solvers use the *cost* convention (minimize); rewards are negated
 //! costs as the paper notes at the end of Section II.
@@ -56,7 +53,6 @@
 pub mod average;
 mod ctmdp;
 pub mod discounted;
-mod dtmdp;
 mod error;
 mod kernel;
 pub mod lp;
@@ -64,7 +60,6 @@ mod policy;
 pub mod value_iteration;
 
 pub use ctmdp::{ActionSpec, Ctmdp, CtmdpBuilder};
-pub use dtmdp::{Dtmdp, DtmdpBuilder};
 pub use error::MdpError;
 pub use kernel::ActionCsr;
 pub use policy::{Policy, RandomizedPolicy};

@@ -87,10 +87,11 @@ impl Solution {
 ///
 /// # Errors
 ///
-/// Returns [`MdpError::InvalidParameter`] for a margin ≤ 1 or a process
-/// with zero maximum exit rate, and [`MdpError::NotConverged`] when the
-/// iteration cap is reached (periodic structures can stall relative VI;
-/// the margin > 1 rules that out for the uniformized chain itself).
+/// Returns [`MdpError::InvalidParameter`] for a margin ≤ 1, `NaN` or `∞`,
+/// a tolerance that is not positive, or a process with zero maximum exit
+/// rate, and [`MdpError::NotConverged`] when the iteration cap is reached
+/// (periodic structures can stall relative VI; the margin > 1 rules that
+/// out for the uniformized chain itself).
 ///
 /// # Examples
 ///
@@ -114,19 +115,22 @@ impl Solution {
 /// # }
 /// ```
 pub fn solve(mdp: &Ctmdp, options: &Options) -> Result<Solution, MdpError> {
-    if options.uniformization_margin <= 1.0 {
+    let margin = options.uniformization_margin;
+    if !(margin > 1.0 && margin.is_finite()) {
         return Err(MdpError::InvalidParameter {
-            reason: format!(
-                "uniformization margin {} must exceed 1",
-                options.uniformization_margin
-            ),
+            reason: format!("uniformization margin {margin} must be finite and exceed 1"),
+        });
+    }
+    if options.tolerance <= 0.0 || options.tolerance.is_nan() {
+        return Err(MdpError::InvalidParameter {
+            reason: format!("tolerance {} must be positive", options.tolerance),
         });
     }
     let n = mdp.n_states();
     let lambda = (0..n)
         .flat_map(|i| mdp.actions(i).iter().map(crate::ActionSpec::exit_rate))
         .fold(0.0f64, f64::max)
-        * options.uniformization_margin;
+        * margin;
     if lambda <= 0.0 {
         return Err(MdpError::InvalidParameter {
             reason: "process has no transitions under any action".to_owned(),
@@ -237,11 +241,37 @@ mod tests {
     #[test]
     fn rejects_bad_margin() {
         let mdp = repair_mdp();
-        let options = Options {
-            uniformization_margin: 1.0,
-            ..Options::default()
-        };
-        assert!(solve(&mdp, &options).is_err());
+        for margin in [1.0, 0.5, f64::NAN, f64::INFINITY] {
+            let options = Options {
+                uniformization_margin: margin,
+                ..Options::default()
+            };
+            assert!(
+                matches!(
+                    solve(&mdp, &options),
+                    Err(MdpError::InvalidParameter { .. })
+                ),
+                "margin {margin}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_a_tolerance_that_is_not_positive() {
+        let mdp = repair_mdp();
+        for tolerance in [0.0, -1e-9, f64::NAN] {
+            let options = Options {
+                tolerance,
+                ..Options::default()
+            };
+            assert!(
+                matches!(
+                    solve(&mdp, &options),
+                    Err(MdpError::InvalidParameter { .. })
+                ),
+                "tolerance {tolerance}"
+            );
+        }
     }
 
     #[test]

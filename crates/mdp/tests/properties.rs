@@ -3,7 +3,7 @@
 //! agree on the optimal average cost of random processes.
 
 use dpm_linalg::DVector;
-use dpm_mdp::{average, discounted, lp, value_iteration, Ctmdp, Dtmdp};
+use dpm_mdp::{average, discounted, lp, value_iteration, Ctmdp};
 use proptest::prelude::*;
 
 /// Policy iteration from the minimum-cost-rate policy; on these
@@ -86,14 +86,6 @@ proptest! {
             "VI {} vs PI {gain}",
             vi.gain()
         );
-    }
-
-    #[test]
-    fn uniformized_dtmdp_matches_ctmdp(mdp in (2usize..5).prop_flat_map(ring_ctmdp)) {
-        let gain = optimal_gain(&mdp);
-        let (dt, lambda) = Dtmdp::from_uniformized(&mdp, 1.05).expect("has transitions");
-        let dt_sol = dt.policy_iteration(1_000).expect("unichain");
-        prop_assert!((dt_sol.gain() * lambda - gain).abs() < 1e-6 * (1.0 + gain.abs()));
     }
 
     #[test]

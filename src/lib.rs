@@ -14,7 +14,7 @@
 //! | [`linalg`] | `dpm-linalg` | dense matrices, CSR sparse matrices, dense LU, Kronecker algebra, preconditioned Krylov solvers over any linear operator (BiCGSTAB, GMRES(60), ILU(0), block Jacobi) |
 //! | [`ctmc`] | `dpm-ctmc` | Markov chains: dense and sparse generators, the unified `stationary::Solver` builder over `Method::{Gth, Iterative, BiCgStab}` (solving the closed class of a unichain input), transient analysis, rewards |
 //! | [`lp`] | `dpm-lp` | two-phase primal simplex |
-//! | [`mdp`] | `dpm-mdp` | CTMDP/DTMDP solvers: policy iteration (Howard's multichain algorithm over `ChainFactors` evaluation), value iteration, occupation-measure LPs |
+//! | [`mdp`] | `dpm-mdp` | CTMDP solvers: policy iteration (Howard's multichain algorithm over `ChainFactors` evaluation), value iteration, occupation-measure LPs |
 //! | [`model`] | `dpm-core` | the paper's power-management model and policy optimization; SYS generators assemble densely or directly into CSR |
 //! | [`sim`] | `dpm-sim` | the event-driven simulator, workloads and controllers |
 //! | [`serve`] | `dpm-serve` | compiled-policy serving: `CompiledPolicy` artifacts and the sharded multi-core event runtime |
