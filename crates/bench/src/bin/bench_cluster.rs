@@ -9,9 +9,11 @@
 //!    solved two ways at every `K` in `1..=--gate-k` (default 3, joint
 //!    space 23³ = 12 167): matrix-free against the implicit
 //!    [`KroneckerOp`](dpm_linalg::KroneckerOp) and materialized through the stock stationary
-//!    ladder. The two distributions must agree to ≤ 1e-10 entrywise, and
-//!    the exchangeability-lumped refinement must match the joint solve —
-//!    otherwise the binary exits nonzero. Each gate row records whether
+//!    ladder. The two distributions must agree to ≤ 1e-10 entrywise, the
+//!    matrix-free π must lie within 1e-12 of GTH on the materialized
+//!    generator (`gth_max_abs_diff`; Gauss–Seidel alone is ~1e-12 off),
+//!    and the exchangeability-lumped refinement must match the joint
+//!    solve — otherwise the binary exits nonzero. Each gate row records whether
 //!    the matrix-free solve `escalated` (ran without its block-Jacobi
 //!    preconditioner), and both solves are timed as the mean of 3 runs
 //!    after one warm-up.
@@ -46,15 +48,21 @@ use dpm_cluster::{
     ClusterModel, ClusterSpec, CouplingTerm, JointOptions, CLUSTER_BENCH_FORMAT,
 };
 use dpm_core::{PmPolicy, PmSystem, SpModel, SrModel};
-use dpm_ctmc::SparseGenerator;
+use dpm_ctmc::{
+    stationary::{Method, Solver},
+    SparseGenerator,
+};
 use dpm_harness::{artifact, cli::Args, Json};
-use dpm_linalg::CsrMatrix;
+use dpm_linalg::{CsrMatrix, DVector};
 
 /// Timed repetitions of each gate solve, after one untimed warm-up.
 const TIMED_ROUNDS: usize = 3;
 
 /// Tolerance of the matrix-free vs. materialized gate.
 const GATE_TOL: f64 = 1e-10;
+
+/// Tolerance of the matrix-free vs. GTH (exact materialized) gate.
+const GTH_TOL: f64 = 1e-12;
 
 /// Tolerance of the lumped-refinement vs. joint gate (two independent
 /// Krylov solves, so round-off compounds slightly past the direct gate).
@@ -77,6 +85,16 @@ fn paper_local_chain() -> Result<SparseGenerator, Box<dyn std::error::Error>> {
     Ok(system.sparse_generator_for(&policy)?)
 }
 
+/// The fleet's stationary distribution by GTH elimination on the
+/// materialized joint generator: the exact reference for the gate.
+fn gth_reference(model: &ClusterModel) -> Result<DVector, ClusterError> {
+    let csr = model.joint_operator()?.materialize()?;
+    let transitions: Vec<(usize, usize, f64)> =
+        csr.iter().filter(|&(i, j, v)| i != j && v > 0.0).collect();
+    let generator = SparseGenerator::from_transitions(csr.nrows(), &transitions)?;
+    Ok(Solver::new(Method::Gth).solve(&generator)?.0)
+}
+
 /// A 6-state M/M/1/5 local chain for the large-fleet scaling axis.
 fn mm1k_local_chain(lambda: f64, mu: f64) -> Result<SparseGenerator, Box<dyn std::error::Error>> {
     let mut transitions = Vec::new();
@@ -95,6 +113,7 @@ struct GateRow {
     matrix_free_bytes: usize,
     materialized_bytes: usize,
     max_abs_diff: f64,
+    gth_max_abs_diff: f64,
     refine_max_abs_diff: f64,
     iterations: usize,
     escalated: bool,
@@ -148,6 +167,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for i in 0..free.pi().len() {
             max_abs_diff = max_abs_diff.max((free.pi()[i] - reference.pi()[i]).abs());
         }
+        let exact = gth_reference(&model)?;
+        let gth_max_abs_diff = (0..exact.len())
+            .map(|i| (free.pi()[i] - exact[i]).abs())
+            .fold(0.0, f64::max);
         let lumped = solve_lumped(&model)?;
         let refined = lumped.refine_joint()?;
         let mut refine_max_abs_diff = 0.0f64;
@@ -161,6 +184,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             matrix_free_bytes: free.operator_bytes(),
             materialized_bytes: reference.matrix_bytes(),
             max_abs_diff,
+            gth_max_abs_diff,
             refine_max_abs_diff,
             iterations: free.iterations(),
             escalated: free.escalated(),
@@ -169,6 +193,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         });
     }
     let gate_passes = gate_rows.iter().all(|r| r.max_abs_diff <= GATE_TOL);
+    let gth_passes = gate_rows.iter().all(|r| r.gth_max_abs_diff <= GTH_TOL);
     let refine_passes = gate_rows
         .iter()
         .all(|r| r.refine_max_abs_diff <= REFINE_TOL);
@@ -238,7 +263,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // Report + artifact.
     // ------------------------------------------------------------------
-    let widths = [4usize, 12, 12, 14, 14, 12, 12];
+    let widths = [4usize, 12, 12, 14, 14, 12, 12, 12];
     println!("Joint gate (paper SYS chain, {n_paper} local states, coupling 0.05)");
     row(
         &[
@@ -248,6 +273,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "free-bytes".into(),
             "mat-bytes".into(),
             "free-vs-mat".into(),
+            "free-vs-gth".into(),
             "lump-vs-free".into(),
         ],
         &widths,
@@ -262,6 +288,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 format!("{}", r.matrix_free_bytes),
                 format!("{}", r.materialized_bytes),
                 format!("{:.2e}", r.max_abs_diff),
+                format!("{:.2e}", r.gth_max_abs_diff),
                 format!("{:.2e}", r.refine_max_abs_diff),
             ],
             &widths,
@@ -307,6 +334,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "checks: matrix-free == materialized (<= {GATE_TOL:.0e}) = {gate_passes}, \
+         matrix-free == GTH (<= {GTH_TOL:.0e}) = {gth_passes}, \
          lumping refines to joint (<= {REFINE_TOL:.0e}) = {refine_passes}, \
          largest fleet joint space > 1e6 = {large_fleet_exceeds_million}, \
          fleet masses normalized = {fleet_masses_normalized}, \
@@ -338,6 +366,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         g.set("matrix_free_peak_bytes", r.matrix_free_bytes);
         g.set("materialized_peak_bytes", r.materialized_bytes);
         g.set("max_abs_diff", Json::num(r.max_abs_diff));
+        g.set("gth_max_abs_diff", Json::num(r.gth_max_abs_diff));
         g.set("refine_max_abs_diff", Json::num(r.refine_max_abs_diff));
         g.set("krylov_iterations", r.iterations);
         g.set("escalated", r.escalated);
@@ -377,6 +406,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     doc.set("two_level", two);
     let mut checks = Json::object();
     checks.set("matrix_free_matches_materialized", gate_passes);
+    checks.set("matrix_free_matches_gth", gth_passes);
     checks.set("lumping_refines_to_joint", refine_passes);
     checks.set(
         "large_fleet_exceeds_million_states",
@@ -404,6 +434,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     artifact::write(&out, &doc)?;
     if !(gate_passes
+        && gth_passes
         && refine_passes
         && large_fleet_exceeds_million
         && fleet_masses_normalized

@@ -52,7 +52,7 @@ use dpm_harness::{
     cli::{self, Args},
     Json,
 };
-use dpm_serve::{serve, CompiledPolicy, RetryPolicy, ServeConfig, ServeFaultPlan, ServeOutcome};
+use dpm_serve::{serve, CompiledPolicy, ServeConfig, ServeFaultPlan, ServeOutcome};
 
 /// One serving measurement: shard count, outcome, wall seconds.
 struct ServeRow {
@@ -106,7 +106,7 @@ fn parse_serve_faults(
     Ok(out)
 }
 
-/// Supervised chaos mode: one supervised serve (faults, retry budgets,
+/// Supervised chaos mode: one supervised serve (faults, attempt budget,
 /// journal), self-gated against a fault-free fleet.
 #[allow(clippy::too_many_arguments)]
 fn run_supervised(
@@ -126,18 +126,15 @@ fn run_supervised(
     for (sys, events, attempts) in parse_serve_faults(args.get("inject-error"), "inject-error")? {
         faults = faults.error_at(sys, events, attempts);
     }
-    let mut retry = RetryPolicy::new();
-    let max_attempts = args.get_u64("max-attempts", 0)?;
-    if max_attempts > 0 {
-        let attempts = u32::try_from(max_attempts).unwrap_or(u32::MAX);
-        retry = retry.panic_attempts(attempts).engine_attempts(attempts);
-    }
     let mut config = ServeConfig::new(root_seed)
         .systems(systems)
         .requests_per_system(requests)
         .shards(shards)
-        .faults(faults)
-        .retry(retry);
+        .faults(faults);
+    if args.get("max-attempts").is_some() {
+        let attempts = args.get_u64("max-attempts", 0)?;
+        config = config.max_attempts(u32::try_from(attempts).unwrap_or(u32::MAX));
+    }
     if let Some(path) = args.get("checkpoint") {
         config = config.checkpoint(path);
     }

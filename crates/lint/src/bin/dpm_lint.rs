@@ -14,9 +14,13 @@
 //! drift: a rule whose *allow* count grew (exemptions accumulating
 //! silently), a rule whose *finding* count grew past the recorded
 //! `counts_by_rule` (new violations that were reasoned away at baseline
-//! time), or a schema id whose version moved backwards. Counts at or below
-//! the baseline pass (shrinkage is progress; refresh the baseline to lock
-//! it in).
+//! time), a panic-class allow reachable from a `serve`/`run_plan*` root
+//! that the baseline's `panic_reachability` does not list for the same
+//! `(path, function, rule)`, or a schema id whose version moved
+//! backwards. Counts at or below the baseline pass (shrinkage is
+//! progress; refresh the baseline to lock it in). Reachability is keyed
+//! by function rather than line, so edits that only move an allow do not
+//! drift.
 //!
 //! `--fix-unused-allows` rewrites files whose allow directives suppressed
 //! nothing. By default it prints the would-be changes as a diff and exits
@@ -109,9 +113,8 @@ fn run(opts: &Options) -> Result<Report, LintError> {
     }
 }
 
-/// Compares the run against a previous `--json` report. Returns one
-/// message per regression: an allow count or finding count that grew, or
-/// a schema version that moved backwards.
+/// Compares the run against a previous `--json` report at `baseline_path`
+/// (see [`drift_from`]).
 fn baseline_drift(report: &Report, baseline_path: &Path) -> Result<Vec<String>, LintError> {
     let text =
         std::fs::read_to_string(baseline_path).map_err(|e| LintError::io(baseline_path, &e))?;
@@ -121,6 +124,13 @@ fn baseline_drift(report: &Report, baseline_path: &Path) -> Result<Vec<String>, 
             baseline_path.display()
         ))
     })?;
+    Ok(drift_from(report, &doc))
+}
+
+/// Returns one message per regression against the baseline report `doc`:
+/// an allow count or finding count that grew, a panic-class allow newly
+/// reachable from a hot root, or a schema version that moved backwards.
+fn drift_from(report: &Report, doc: &Json) -> Vec<String> {
     let mut drift = Vec::new();
     for (rule, &now) in &report.allows_by_rule {
         let then = doc
@@ -158,6 +168,35 @@ fn baseline_drift(report: &Report, baseline_path: &Path) -> Result<Vec<String>, 
             ));
         }
     }
+    // Reachability drift: every hot root of a panic-class allow must be
+    // listed for its (path, function, rule) in the baseline. A baseline
+    // without the block (pre-v2 report) is not checked.
+    if let Some(Json::Array(entries)) = doc.get("panic_reachability") {
+        fn text<'a>(entry: &'a Json, key: &str) -> &'a str {
+            entry.get(key).and_then(Json::as_str).unwrap_or_default()
+        }
+        let mut listed = BTreeSet::new();
+        for e in entries {
+            if let Some(Json::Array(roots)) = e.get("reachable_from") {
+                for root in roots.iter().filter_map(Json::as_str) {
+                    listed.insert([text(e, "path"), text(e, "function"), text(e, "rule"), root]);
+                }
+            }
+        }
+        for site in &report.panic_reachability {
+            for root in &site.reachable_from {
+                let key = [&*site.path, &*site.function, site.rule, &**root];
+                if !listed.contains(&key) {
+                    drift.push(format!(
+                        "allow({}) in `{}` ({}:{}) is reachable from `{root}`, which the \
+                         baseline does not list; make the function panic-free or \
+                         refresh the baseline",
+                        site.rule, site.function, site.path, site.line
+                    ));
+                }
+            }
+        }
+    }
     // Schema monotonicity: versions never move backwards.
     if let Some(Json::Array(entries)) = doc.get("schema_registry") {
         let then_versions: BTreeMap<String, f64> = entries
@@ -181,7 +220,7 @@ fn baseline_drift(report: &Report, baseline_path: &Path) -> Result<Vec<String>, 
             }
         }
     }
-    Ok(drift)
+    drift
 }
 
 /// Applies (or previews) removal of every `unused_allow` directive the
@@ -293,5 +332,50 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpm_lint::report::PanicSite;
+
+    /// The baseline's drift against a run whose one panic-class allow in
+    /// `PmSystem::index_of` (at `line`) is reachable from `run_plan` and
+    /// `serve`; the baseline lists it at line 190 with `reachable_from`.
+    fn drift(line: usize, reachable_from: &str) -> Vec<String> {
+        let report = Report {
+            findings: Vec::new(),
+            files_scanned: 1,
+            allows_used: 1,
+            allows_by_rule: BTreeMap::new(),
+            schema_registry: Vec::new(),
+            panic_reachability: vec![PanicSite {
+                path: "crates/core/src/system.rs".to_owned(),
+                line,
+                rule: "no_panic",
+                function: "PmSystem::index_of".to_owned(),
+                reachable_from: vec!["run_plan".to_owned(), "serve".to_owned()],
+            }],
+        };
+        let baseline = Json::parse(&format!(
+            r#"{{"panic_reachability": [{{"function": "PmSystem::index_of", "line": 190,
+                "path": "crates/core/src/system.rs", "reachable_from": {reachable_from},
+                "rule": "no_panic"}}]}}"#
+        ));
+        drift_from(&report, &baseline.unwrap())
+    }
+
+    #[test]
+    fn a_panic_allow_reachable_from_an_unlisted_root_drifts() {
+        let cold = drift(190, "[]");
+        assert_eq!(cold.len(), 2, "{cold:?}");
+        assert!(cold[0].contains("`run_plan`") && cold[1].contains("`serve`"));
+        let one_more = drift(190, r#"["serve"]"#);
+        assert_eq!(one_more.len(), 1, "{one_more:?}");
+        assert!(one_more[0].contains("`run_plan`"), "{one_more:?}");
+        // Keyed by function, not line: a moved allow with the same roots
+        // passes.
+        assert!(drift(240, r#"["run_plan", "serve"]"#).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! The sharded serving runtime: many simulated systems, few threads, one
 //! shared compiled policy, bit-identical output at any shard count — now
 //! wrapped in a supervision layer that isolates per-system failures,
-//! retries them under per-error-class budgets, journals every retry
+//! retries them under one attempt budget, journals every retry
 //! decision and settlement to a JSONL checkpoint, and hot-swaps the shared
 //! policy at deterministic event-count barriers.
 //!
@@ -17,18 +17,19 @@
 //!    and queue; stepping runs in any order cannot perturb one another, so
 //!    a shard batching 256 events of system A between batches of system B
 //!    produces exactly the serial event sequences.
-//! 3. **Associative merging.** Reports are stitched in fleet-index order
-//!    and folded through [`dpm_sim::MergedReport`], whose accumulators
-//!    ([`dpm_sim::ExactSum`]) are exactly associative — the per-shard
-//!    partial grouping cannot leak into the totals.
+//! 3. **Fleet-order merging.** Shards only step systems; once every shard
+//!    has returned, the records are stitched in fleet-index order and each
+//!    served report is folded into [`dpm_sim::MergedReport`] once, in that
+//!    order. The floating-point sums therefore see the same additions in
+//!    the same order at every shard count.
 //!
 //! The supervision layer preserves all three. Every recovery decision is
 //! a pure function of `(system, event count, attempt)`: panics are caught
 //! per batch with [`std::panic::catch_unwind`] and replayed from event
 //! zero under the *same* seed (so a recovered system's report is
 //! bit-identical to a never-faulted run); engine errors — deterministic
-//! in the seed — retry under a fresh seed stream; backoff skips
-//! round-robin *visits*, never wall-clock. Hot swaps apply when a
+//! in the seed — retry under a fresh seed stream; a retried system steps
+//! again on its shard's next round-robin visit. Hot swaps apply when a
 //! system's own event counter crosses the scheduled barrier, which is the
 //! same event at every shard count and on every replay.
 //!
@@ -59,16 +60,16 @@ use dpm_sim::{MergedReport, SimConfig, SimError, SimReport, SimRun, Simulator};
 use crate::checkpoint::{self, Restored};
 use crate::supervise::SwapEntry;
 use crate::{
-    CompiledController, CompiledPolicy, ConfigError, ErrorClass, RetryPolicy, ServeError,
-    ServeFaultPlan, SwapOutcome, SwapPlan, SystemRecord, SystemStatus,
+    CompiledController, CompiledPolicy, ConfigError, ErrorClass, ServeError, ServeFaultPlan,
+    SwapOutcome, SwapPlan, SystemRecord, SystemStatus,
 };
 
 /// Format tag of the serialized serve outcome.
 pub const SERVE_OUTCOME_FORMAT: &str = "dpm-serve-outcome/v2";
 
 /// Configuration of a serving run: fleet size, shard count, per-system
-/// workload volume, batching grain, and the supervision knobs (retry
-/// budgets, fault injection, swap schedule, checkpoint journal).
+/// workload volume, batching grain, and the supervision knobs (attempt
+/// budget, fault injection, swap schedule, checkpoint journal).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     root_seed: u64,
@@ -76,7 +77,7 @@ pub struct ServeConfig {
     shards: usize,
     requests_per_system: u64,
     batch_events: usize,
-    retry: RetryPolicy,
+    max_attempts: u32,
     faults: ServeFaultPlan,
     swaps: SwapPlan,
     checkpoint: Option<PathBuf>,
@@ -85,8 +86,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A default fleet: 64 systems, 1 shard, 1000 requests each, events
-    /// batched 256 at a time, default retry budgets, no faults, no swaps,
-    /// no journal.
+    /// batched 256 at a time, at most 3 attempts per system, no faults,
+    /// no swaps, no journal.
     #[must_use]
     pub fn new(root_seed: u64) -> Self {
         ServeConfig {
@@ -95,7 +96,7 @@ impl ServeConfig {
             shards: 1,
             requests_per_system: 1_000,
             batch_events: 256,
-            retry: RetryPolicy::new(),
+            max_attempts: 3,
             faults: ServeFaultPlan::new(),
             swaps: SwapPlan::new(),
             checkpoint: None,
@@ -132,10 +133,13 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the per-error-class retry budgets and backoff schedule.
+    /// Sets how many attempts (first try included) a system may use
+    /// before it is quarantined (clamped to at least 1). Panics and engine
+    /// errors draw from this one budget; setup failures are never retried
+    /// (see [`ErrorClass`]).
     #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+    pub fn max_attempts(mut self, n: u32) -> Self {
+        self.max_attempts = n.max(1);
         self
     }
 
@@ -447,8 +451,8 @@ fn validate_swap_entry(system: &PmSystem, entry: &SwapEntry) -> Result<(), Strin
 
 /// Drives a fleet of independent simulated systems against one compiled
 /// policy, partitioned across `config.shards` threads, under supervision:
-/// per-system failures are isolated, retried within their error class's
-/// budget, and quarantined on exhaustion; retries and settlements are
+/// per-system failures are isolated, retried within the attempt budget,
+/// and quarantined on exhaustion; retries and settlements are
 /// journaled when a checkpoint path is configured; scheduled hot swaps
 /// replace the shared policy at deterministic per-system event barriers.
 ///
@@ -568,10 +572,6 @@ struct Slot {
     seed_attempt: u32,
     /// Seed of the current attempt's stream, derived once per (re)build.
     seed: u64,
-    /// Consecutive failures, driving the backoff schedule.
-    failures: u32,
-    /// Round-robin visits left to skip before the next step batch.
-    cooldown: u64,
     /// Next unapplied entry in the swap schedule.
     next_swap: usize,
     run: Option<SimRun<PoissonWorkload, CompiledController>>,
@@ -585,8 +585,6 @@ impl Slot {
             attempts: 1,
             seed_attempt: 0,
             seed: 0,
-            failures: 0,
-            cooldown: 0,
             next_swap: 0,
             run: None,
             record: None,
@@ -605,11 +603,11 @@ impl ShardCtx<'_> {
 
     /// Builds (or rebuilds) a slot's run for its current seed stream,
     /// caching that stream's seed on the slot for the epoch a retry
-    /// journals.
+    /// journals. Every error is a setup failure ([`ErrorClass::Setup`]).
     fn build(
         &self,
         slot: &mut Slot,
-    ) -> Result<SimRun<PoissonWorkload, CompiledController>, (ErrorClass, String)> {
+    ) -> Result<SimRun<PoissonWorkload, CompiledController>, String> {
         let system_index = slot.system;
         slot.seed = derive_serve_attempt_seed(
             self.config.root_seed,
@@ -617,13 +615,9 @@ impl ShardCtx<'_> {
             slot.seed_attempt,
         );
         if self.config.faults.setup_armed(system_index) {
-            return Err((
-                ErrorClass::Setup,
-                format!("injected setup failure for system {system_index}"),
-            ));
+            return Err(format!("injected setup failure for system {system_index}"));
         }
-        let workload =
-            PoissonWorkload::new(self.lambda).map_err(|e| (ErrorClass::Setup, e.to_string()))?;
+        let workload = PoissonWorkload::new(self.lambda).map_err(|e| e.to_string())?;
         Simulator::new(
             Arc::clone(&self.provider),
             self.system.capacity(),
@@ -632,7 +626,7 @@ impl ShardCtx<'_> {
             SimConfig::new(slot.seed).max_requests(self.config.requests_per_system),
         )
         .start()
-        .map_err(|e| (ErrorClass::Setup, e.to_string()))
+        .map_err(|e| e.to_string())
     }
 
     /// Settles a system as quarantined and journals the verdict.
@@ -654,21 +648,18 @@ impl ShardCtx<'_> {
         Ok(())
     }
 
-    /// Handles one failure of `slot`'s current attempt: quarantine if the
-    /// class's budget is spent, otherwise rebuild for a retry — panics
-    /// replay the same seed stream, engine errors advance to a fresh one
-    /// (replaying a deterministic engine would fail identically), and a
-    /// logical backoff delays the retry by scheduling visits, not time.
+    /// Handles a panic or engine error in `slot`'s current attempt:
+    /// quarantine once the budget is spent, otherwise rebuild for a retry —
+    /// panics replay the same seed stream, engine errors advance to a
+    /// fresh one (replaying a deterministic engine would fail identically).
     fn fail(&self, slot: &mut Slot, class: ErrorClass, error: String) -> Result<(), ServeError> {
-        slot.failures = slot.failures.saturating_add(1);
-        if slot.attempts >= self.config.retry.budget(class) {
+        if slot.attempts >= self.config.max_attempts {
             return self.quarantine(slot, class, error);
         }
         slot.attempts = slot.attempts.saturating_add(1);
         if class == ErrorClass::Engine {
             slot.seed_attempt = slot.seed_attempt.saturating_add(1);
         }
-        slot.cooldown = self.config.retry.backoff_visits(slot.failures);
         slot.next_swap = 0;
         match self.build(slot) {
             Ok(run) => {
@@ -679,20 +670,21 @@ impl ShardCtx<'_> {
                     checkpoint::epoch(slot.system, slot.attempts, slot.seed_attempt, slot.seed)
                 })
             }
-            Err((class, message)) => self.quarantine(slot, class, message),
+            Err(message) => self.quarantine(slot, ErrorClass::Setup, message),
         }
     }
 }
 
-/// Builds a slot's first run (for its restored seed stream), routing a
-/// construction failure through the supervisor.
+/// Builds a slot's first run (for its restored seed stream). A setup
+/// failure quarantines the system at once: it is deterministic in the
+/// configuration, so no retry could pass.
 fn init_run(ctx: &ShardCtx<'_>, slot: &mut Slot) -> Result<(), ServeError> {
     match ctx.build(slot) {
         Ok(run) => {
             slot.run = Some(run);
             Ok(())
         }
-        Err((class, message)) => ctx.fail(slot, class, message),
+        Err(message) => ctx.quarantine(slot, ErrorClass::Setup, message),
     }
 }
 
@@ -715,7 +707,6 @@ fn run_shard(
             }) => {
                 slot.attempts = (*attempts).max(1);
                 slot.seed_attempt = *seed_attempt;
-                slot.failures = slot.attempts.saturating_sub(1);
                 init_run(ctx, &mut slot)?;
             }
             _ => init_run(ctx, &mut slot)?,
@@ -726,18 +717,13 @@ fn run_shard(
     // Round-robin over the block, `batch_events` events per system per
     // visit: the shared policy tables stay hot while each system's state
     // stays compact. Purely a scheduling choice — per-run results are
-    // interleaving-invariant, so neither batching nor backoff (skipped
-    // visits) can change any system's numbers.
+    // interleaving-invariant, so batching cannot change any system's
+    // numbers.
     let mut live = slots.iter().filter(|s| s.run.is_some()).count();
     while live > 0 {
         live = 0;
         for slot in &mut slots {
             if slot.run.is_none() {
-                continue;
-            }
-            if slot.cooldown > 0 {
-                slot.cooldown -= 1;
-                live += 1;
                 continue;
             }
             let system_index = slot.system;

@@ -5,7 +5,8 @@ use dpm_harness::HarnessError;
 use dpm_sim::SimError;
 
 /// Classification of a supervised system failure, driving the retry
-/// strategy (see `crate::RetryPolicy`):
+/// strategy. Panics and engine errors draw from one attempt budget
+/// (`ServeConfig::max_attempts`):
 ///
 /// * [`ErrorClass::Panic`] — the stepping closure unwound. Treated as
 ///   transient/environmental: the system is rebuilt and **replayed with

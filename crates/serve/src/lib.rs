@@ -11,11 +11,11 @@
 //! * [`serve`] — a sharded event runtime: a fleet of independent
 //!   simulated systems partitioned across threads, each batching events
 //!   against the shared artifact, with per-system seeds from
-//!   `dpm_harness::seed::derive_serve_attempt_seed` and
-//!   exactly-associative report merging so N-shard output is
-//!   **bit-identical** to 1-shard;
+//!   `dpm_harness::seed::derive_serve_attempt_seed` and one merge of the
+//!   reports in fleet order, so N-shard output is **bit-identical** to
+//!   1-shard;
 //! * supervision — a typed error taxonomy ([`ErrorClass`], [`ServeError`])
-//!   with per-class retry budgets and logical backoff ([`RetryPolicy`]),
+//!   with one attempt budget (`ServeConfig::max_attempts`),
 //!   per-system panic isolation, a JSONL fleet checkpoint journal
 //!   (`ServeConfig::checkpoint` / `ServeConfig::resume`) whose replay-based
 //!   restore makes kill-at-any-point + resume bit-identical — written and
@@ -78,6 +78,4 @@ mod supervise;
 pub use compiled::{CompiledController, CompiledPolicy, COMPILED_POLICY_FORMAT};
 pub use engine::{serve, ServeConfig, ServeOutcome, SERVE_OUTCOME_FORMAT};
 pub use error::{ConfigError, ErrorClass, ServeError};
-pub use supervise::{
-    RetryPolicy, ServeFaultPlan, SwapOutcome, SwapPlan, SystemRecord, SystemStatus,
-};
+pub use supervise::{ServeFaultPlan, SwapOutcome, SwapPlan, SystemRecord, SystemStatus};

@@ -1,5 +1,4 @@
-//! Supervision vocabulary for the serving runtime: per-error-class retry
-//! budgets with deterministic logical backoff, deterministic fault
+//! Supervision vocabulary for the serving runtime: deterministic fault
 //! injection, the epoch-coordinated hot-swap schedule, and the per-system
 //! status records a supervised run reports.
 //!
@@ -12,89 +11,6 @@ use dpm_core::PmPolicy;
 use dpm_sim::SimReport;
 
 use crate::{CompiledPolicy, ErrorClass};
-
-/// Per-error-class retry budgets and the logical backoff schedule.
-///
-/// *Budgets* cap the number of attempts (first try included) a system may
-/// consume before it is quarantined; each [`ErrorClass`] has its own cap
-/// because each class has a different recovery story (see [`ErrorClass`]).
-/// *Backoff* is logical, not temporal: after a failure the system skips a
-/// number of round-robin scheduling visits that doubles per consecutive
-/// failure — deterministic, wall-clock-free, and (because per-system runs
-/// are interleaving-invariant) entirely without effect on the recovered
-/// system's results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    panic_attempts: u32,
-    engine_attempts: u32,
-    backoff_base: u32,
-    backoff_cap: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::new()
-    }
-}
-
-impl RetryPolicy {
-    /// Defaults: 3 attempts for panics, 2 for engine errors, backoff of
-    /// 4 visits doubling up to 64.
-    #[must_use]
-    pub fn new() -> Self {
-        RetryPolicy {
-            panic_attempts: 3,
-            engine_attempts: 2,
-            backoff_base: 4,
-            backoff_cap: 64,
-        }
-    }
-
-    /// Sets the attempt budget for panic-class failures (min 1).
-    #[must_use]
-    pub fn panic_attempts(mut self, n: u32) -> Self {
-        self.panic_attempts = n.max(1);
-        self
-    }
-
-    /// Sets the attempt budget for engine-class failures (min 1).
-    #[must_use]
-    pub fn engine_attempts(mut self, n: u32) -> Self {
-        self.engine_attempts = n.max(1);
-        self
-    }
-
-    /// Sets the backoff schedule: `base` visits skipped after the first
-    /// failure, doubling per consecutive failure, capped at `cap`.
-    #[must_use]
-    pub fn backoff(mut self, base: u32, cap: u32) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap.max(base);
-        self
-    }
-
-    /// The attempt budget for one failure class. Setup failures get no
-    /// retry: they are deterministic in the configuration alone.
-    #[must_use]
-    pub fn budget(&self, class: ErrorClass) -> u32 {
-        match class {
-            ErrorClass::Panic => self.panic_attempts,
-            ErrorClass::Engine => self.engine_attempts,
-            ErrorClass::Setup => 1,
-        }
-    }
-
-    /// Scheduling visits to skip after the `failures`-th consecutive
-    /// failure (1-based): `base << (failures - 1)`, capped.
-    #[must_use]
-    pub fn backoff_visits(&self, failures: u32) -> u64 {
-        if failures == 0 {
-            return 0;
-        }
-        let shift = (failures - 1).min(16);
-        (u64::from(self.backoff_base) << shift).min(u64::from(self.backoff_cap))
-    }
-}
 
 /// One armed fault: sabotage `system` just before it processes event
 /// `events`, on its first `attempts` attempts.
@@ -157,12 +73,6 @@ impl ServeFaultPlan {
     pub fn setup_failure(mut self, system: usize) -> Self {
         self.setup_failures.push(system);
         self
-    }
-
-    /// True if the plan holds no faults.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.panics.is_empty() && self.errors.is_empty() && self.setup_failures.is_empty()
     }
 
     /// Should a panic fire before `system` processes event `events` on
@@ -266,12 +176,6 @@ impl SwapPlan {
             table: Some(table),
         });
         self
-    }
-
-    /// True if no swaps are scheduled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -377,34 +281,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn budgets_are_per_class_and_setup_never_retries() {
-        let policy = RetryPolicy::new().panic_attempts(5).engine_attempts(3);
-        assert_eq!(policy.budget(ErrorClass::Panic), 5);
-        assert_eq!(policy.budget(ErrorClass::Engine), 3);
-        assert_eq!(policy.budget(ErrorClass::Setup), 1);
-        // Budgets can never drop below one attempt.
-        assert_eq!(
-            RetryPolicy::new()
-                .panic_attempts(0)
-                .budget(ErrorClass::Panic),
-            1
-        );
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let policy = RetryPolicy::new().backoff(4, 64);
-        assert_eq!(policy.backoff_visits(0), 0);
-        assert_eq!(policy.backoff_visits(1), 4);
-        assert_eq!(policy.backoff_visits(2), 8);
-        assert_eq!(policy.backoff_visits(3), 16);
-        assert_eq!(policy.backoff_visits(5), 64);
-        assert_eq!(policy.backoff_visits(40), 64, "capped, no overflow");
-        // A zero base disables backoff entirely.
-        assert_eq!(RetryPolicy::new().backoff(0, 0).backoff_visits(3), 0);
-    }
-
-    #[test]
     fn fault_sites_arm_by_system_event_and_attempt() {
         let plan = ServeFaultPlan::new()
             .panic_at(2, 100, 1)
@@ -422,7 +298,5 @@ mod tests {
         assert_eq!(plan.next_armed(3, 0, 7), Some(50), "errors count too");
         assert!(plan.setup_armed(4));
         assert!(!plan.setup_armed(2));
-        assert!(!plan.is_empty());
-        assert!(ServeFaultPlan::new().is_empty());
     }
 }

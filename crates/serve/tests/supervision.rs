@@ -1,6 +1,7 @@
-//! Supervision-layer tests: per-error-class retry budgets, panic
-//! isolation, quarantine, hot policy swaps, and the kill-at-any-point +
-//! resume bit-identity guarantee of the fleet checkpoint journal.
+//! Supervision-layer tests: the shared attempt budget, panic isolation,
+//! quarantine, hot policy swaps, fleet-order merging, and the
+//! kill-at-any-point + resume bit-identity guarantee of the fleet
+//! checkpoint journal.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,10 +10,10 @@ use std::sync::Arc;
 use dpm_core::{PmPolicy, PmSystem, SpModel, SrModel};
 use dpm_harness::{artifact, seed::derive_serve_attempt_seed, Json};
 use dpm_serve::{
-    serve, CompiledController, CompiledPolicy, ErrorClass, RetryPolicy, ServeConfig,
-    ServeFaultPlan, SwapPlan, SystemStatus,
+    serve, CompiledController, CompiledPolicy, ErrorClass, ServeConfig, ServeFaultPlan, SwapPlan,
+    SystemStatus,
 };
-use dpm_sim::{workload::PoissonWorkload, SimConfig, SimReport, Simulator};
+use dpm_sim::{workload::PoissonWorkload, MergedReport, SimConfig, SimReport, Simulator};
 
 fn system() -> PmSystem {
     PmSystem::builder()
@@ -75,7 +76,7 @@ fn panic_budget_exhaustion_quarantines_without_disturbing_the_fleet() {
     let config = base
         .clone()
         .faults(ServeFaultPlan::new().panic_at(2, 300, u32::MAX))
-        .retry(RetryPolicy::new().panic_attempts(3));
+        .max_attempts(3);
     let faulted = serve(&system, &policy, &config).unwrap();
     let victim = &faulted.records()[2];
     assert_eq!(victim.attempts(), 3, "budget fully consumed");
@@ -137,7 +138,7 @@ fn engine_budget_exhaustion_quarantines_with_the_engine_class() {
             .systems(4)
             .requests_per_system(400)
             .faults(ServeFaultPlan::new().error_at(1, 200, u32::MAX))
-            .retry(RetryPolicy::new().engine_attempts(2)),
+            .max_attempts(2),
     )
     .unwrap();
     let victim = &outcome.records()[1];
@@ -167,7 +168,8 @@ fn setup_failures_quarantine_immediately_without_retry() {
         &ServeConfig::new(25)
             .systems(5)
             .requests_per_system(300)
-            .faults(ServeFaultPlan::new().setup_failure(0)),
+            .faults(ServeFaultPlan::new().setup_failure(0))
+            .max_attempts(5),
     )
     .unwrap();
     let victim = &outcome.records()[0];
@@ -178,6 +180,97 @@ fn setup_failures_quarantine_immediately_without_retry() {
     }
     assert_eq!(outcome.served(), 4);
     assert_eq!(outcome.merged().runs(), 4);
+}
+
+#[test]
+fn panics_and_engine_errors_draw_from_one_clamped_budget() {
+    let system = system();
+    let policy = greedy(&system);
+    // System 2 panics on its first attempt and hits an engine error on its
+    // second: three attempts serve it, two quarantine it, and a budget of
+    // zero counts as one.
+    let faults = ServeFaultPlan::new()
+        .panic_at(2, 100, 1)
+        .error_at(2, 200, 2);
+    let record = |max_attempts| {
+        let config = ServeConfig::new(32)
+            .systems(4)
+            .requests_per_system(400)
+            .faults(faults.clone())
+            .max_attempts(max_attempts);
+        serve(&system, &policy, &config).unwrap().records()[2].clone()
+    };
+    let served = record(3);
+    assert!(served.is_served());
+    assert_eq!((served.attempts(), served.seed_attempt()), (3, 1));
+    for (max_attempts, attempts, expected) in [
+        (2, 2, ErrorClass::Engine),
+        (1, 1, ErrorClass::Panic),
+        (0, 1, ErrorClass::Panic),
+    ] {
+        let record = record(max_attempts);
+        assert_eq!(record.attempts(), attempts, "max_attempts({max_attempts})");
+        match record.status() {
+            SystemStatus::Quarantined { class, .. } => assert_eq!(*class, expected),
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+    }
+}
+
+/// The bits of every float readout of a merged aggregate.
+fn float_bits(m: &MergedReport) -> [u64; 10] {
+    [
+        m.duration(),
+        m.occupancy_energy(),
+        m.switch_energy(),
+        m.total_energy(),
+        m.queue_integral(),
+        m.sojourn_sum(),
+        m.average_power(),
+        m.average_queue_length(),
+        m.average_waiting_time(),
+        m.loss_fraction(),
+    ]
+    .map(f64::to_bits)
+}
+
+#[test]
+fn merged_is_the_fleet_order_fold_of_served_reports() {
+    let system = system();
+    let policy = greedy(&system);
+    let full = scratch("merged-full.jsonl");
+    let cut = scratch("merged-cut.jsonl");
+    // System 2 panics on every attempt and is quarantined; 5 retries once.
+    let config = ServeConfig::new(33)
+        .systems(9)
+        .requests_per_system(500)
+        .faults(
+            ServeFaultPlan::new()
+                .panic_at(2, 150, u32::MAX)
+                .panic_at(5, 300, 1),
+        );
+    serve(&system, &policy, &config.clone().checkpoint(&full)).unwrap();
+    let text = std::fs::read_to_string(&full).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    std::fs::write(&cut, lines[..lines.len() / 2].join("\n")).unwrap();
+    let run = |config: ServeConfig| serve(&system, &policy, &config).unwrap();
+    let outcomes = [
+        ("1 shard", run(config.clone())),
+        ("3 shards", run(config.clone().shards(3))),
+        ("resumed", run(config.clone().shards(3).resume(&cut))),
+    ];
+    for (case, outcome) in &outcomes {
+        let mut fold = MergedReport::new();
+        for report in outcome.records().iter().filter_map(|r| r.report()) {
+            fold.absorb(report);
+        }
+        // Counters compare exactly under `==`; floats also by their bits.
+        assert_eq!(outcome.merged(), &fold, "{case}");
+        assert_eq!(float_bits(outcome.merged()), float_bits(&fold), "{case}");
+        assert_eq!((outcome.merged().runs(), outcome.quarantined()), (8, 1));
+    }
+    std::fs::remove_file(&full).ok();
+    std::fs::remove_file(&cut).ok();
 }
 
 #[test]
@@ -526,7 +619,7 @@ fn faulted_journal_holds_one_epoch_per_retry_and_one_settlement_per_system() {
                 .panic_at(6, 100, u32::MAX)
                 .setup_failure(8),
         )
-        .retry(RetryPolicy::new().panic_attempts(3))
+        .max_attempts(3)
         .checkpoint(&path);
     let outcome = serve(&system, &policy, &config).unwrap();
     assert_eq!(outcome.quarantined(), 2, "systems 6 and 8");
@@ -691,7 +784,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// The CI chaos fleet (`scripts/ci.sh`, `bench_serve` in supervised
 /// mode) on one shard, so its journal's line order is deterministic: the
 /// optimal policy, panics on systems 3 and 5, an engine error on every
-/// attempt of system 7, three attempts per class.
+/// attempt of system 7, three attempts per system.
 fn chaos_fleet() -> (PmSystem, CompiledPolicy, ServeConfig) {
     let system = system();
     let solution = dpm_core::optimize::optimal_policy(&system, 1.0).unwrap();
@@ -706,15 +799,16 @@ fn chaos_fleet() -> (PmSystem, CompiledPolicy, ServeConfig) {
                 .panic_at(5, 250, 2)
                 .error_at(7, 300, u32::MAX),
         )
-        .retry(RetryPolicy::new().panic_attempts(3).engine_attempts(3));
+        .max_attempts(3);
     (system, policy, config)
 }
 
 /// Digests of the chaos fleet's 1-shard journal, fresh and rewritten by
-/// a run resumed from a prefix that leaves two systems mid-retry (so the
-/// rewrite carries `settled_run` records and epochs forward). Recorded
-/// before the journal code was shared with the plan runner; a change
-/// here is a change of the on-disk format.
+/// resumed runs (so the rewrite carries `settled_run` records and epochs
+/// forward). A change to the sorted-line digest or to the rewrite of the
+/// journal without system 5's settlement is a change of the on-disk
+/// format; the other two also move with the round-robin order in which a
+/// 1-shard run appends retries and settlements.
 #[test]
 fn chaos_journal_bytes_match_the_golden_digests() {
     let (system, policy, config) = chaos_fleet();
@@ -728,8 +822,15 @@ fn chaos_journal_bytes_match_the_golden_digests() {
     );
     assert_eq!(
         format!("{:016x}", fnv1a(text.as_bytes())),
-        "52f26fe461685ec4",
+        "cce14c93dd3533f6",
         "fresh journal"
+    );
+    let mut sorted: Vec<&str> = text.lines().collect();
+    sorted.sort_unstable();
+    assert_eq!(
+        format!("{:016x}", fnv1a(sorted.join("\n").as_bytes())),
+        "215ce9c91e8b0a9c",
+        "fresh journal's lines, in sorted order"
     );
 
     let lines: Vec<&str> = text.lines().collect();
@@ -752,22 +853,35 @@ fn chaos_journal_bytes_match_the_golden_digests() {
         .rev()
         .find(|&keep| in_flight(keep) > 0 && keep >= 7)
         .unwrap();
+    // The same journal without the settlement of system 5, which was
+    // retried twice: the rewrite carries its last epoch forward.
+    let without_5: Vec<&str> = lines
+        .iter()
+        .copied()
+        .filter(|line| !(line.contains("\"kind\":\"done\"") && line.ends_with("\"system\":5}")))
+        .collect();
+    assert_eq!(without_5.len(), lines.len() - 1);
     let cut = scratch("golden-cut.jsonl");
-    std::fs::write(&cut, lines[..=keep].join("\n") + "\n").unwrap();
     let resumed = scratch("golden-resumed.jsonl");
-    serve(
-        &system,
-        &policy,
-        &config.clone().resume(&cut).checkpoint(&resumed),
-    )
-    .unwrap();
-    let text = std::fs::read_to_string(&resumed).unwrap();
-    assert!(text.contains("\"kind\":\"settled_run\""), "{text}");
-    assert_eq!(
-        format!("{:016x}", fnv1a(text.as_bytes())),
-        "8bd331b42031185b",
-        "resumed journal"
-    );
+    for (kept, digest) in [
+        (&lines[..=keep], "f9ad179f3f6f31d6"),
+        (&without_5[..], "8bd331b42031185b"),
+    ] {
+        std::fs::write(&cut, kept.join("\n") + "\n").unwrap();
+        serve(
+            &system,
+            &policy,
+            &config.clone().resume(&cut).checkpoint(&resumed),
+        )
+        .unwrap();
+        let text = std::fs::read_to_string(&resumed).unwrap();
+        assert!(text.contains("\"kind\":\"settled_run\""), "{text}");
+        assert_eq!(
+            format!("{:016x}", fnv1a(text.as_bytes())),
+            digest,
+            "resumed journal"
+        );
+    }
     for path in [fresh, cut, resumed] {
         std::fs::remove_file(path).ok();
     }

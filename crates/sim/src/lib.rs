@@ -62,6 +62,6 @@ pub mod workload;
 
 pub use engine::{SimConfig, SimRun, Simulator};
 pub use error::SimError;
-pub use merge::{ExactSum, MergedReport};
+pub use merge::MergedReport;
 pub use report::{ReportParts, SimReport};
 pub use rng::exponential;

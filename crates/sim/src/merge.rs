@@ -1,271 +1,28 @@
-//! Deterministic, associative merging of [`SimReport`]s.
+//! Deterministic merging of [`SimReport`]s.
 //!
-//! Sharded runtimes (the `dpm-serve` engine) fold per-system reports into
-//! per-shard partials and combine the partials at a barrier. Plain `f64`
-//! addition is not associative, so that grouping would leak into the
-//! merged totals and break the "N shards bit-identical to 1 shard"
-//! guarantee. [`ExactSum`] fixes this at the root: a fixed-point long
-//! accumulator (a Kulisch accumulator) wide enough to hold any sum of
-//! `f64` values *exactly*, making accumulation associative and
-//! commutative by construction. [`MergedReport`] builds on it: merge the
-//! same set of reports in any grouping and every readout is bit-identical.
+//! [`MergedReport`] folds per-run reports into fleet totals: counters sum
+//! exactly in `u64`, time and energy totals in plain `f64`. Floating-point
+//! addition is not associative, so the totals depend on the order of
+//! [`MergedReport::absorb`] calls; the sharded runtime (`dpm-serve`) calls
+//! it once per served system in fleet-index order after every shard has
+//! finished, so the order — and every readout bit — is the same at any
+//! shard count.
 
 use crate::report::SimReport;
 
-/// Number of 64-bit limbs in the accumulator: 2560 bits.
-const LIMBS: usize = 40;
-/// Limb whose bit 0 carries weight `2^0`; lower limbs hold the fractional
-/// bits (`64 * 20 = 1280 ≥ 1074`, covering the smallest subnormal), upper
-/// limbs hold the integer bits (`64 * 19 - 1 ≥ 1023` plus ~190 bits of
-/// carry headroom — on the order of `2^190` additions before overflow).
-const BIAS_LIMB: usize = 20;
-/// Total bit width of the accumulator.
-const TOTAL_BITS: i64 = (LIMBS as i64) * 64;
-
-/// Exact sum of `f64` values.
-///
-/// Internally a two's-complement fixed-point integer of 40 × 64 = 2560
-/// bits. Adding a finite `f64` adds its (sign, mantissa, exponent)
-/// decomposition into the integer — an exact operation — so the order of
-/// additions and merges cannot change the state. [`ExactSum::value`]
-/// rounds the exact total to the nearest `f64` (ties to even).
-///
-/// Non-finite inputs are counted instead of accumulated; a sum that saw
-/// one reads back as NaN.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExactSum {
-    limbs: [u64; LIMBS],
-    non_finite: u64,
-}
-
-impl Default for ExactSum {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ExactSum {
-    /// An empty sum (reads back as `0.0`).
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            limbs: [0; LIMBS],
-            non_finite: 0,
-        }
-    }
-
-    /// Adds one value. Exact for every finite `f64`; non-finite values
-    /// increment a counter that poisons [`ExactSum::value`] to NaN.
-    pub fn add(&mut self, x: f64) {
-        if !x.is_finite() {
-            self.non_finite += 1;
-            return;
-        }
-        let bits = x.to_bits();
-        if bits << 1 == 0 {
-            return; // ±0.0 contributes nothing
-        }
-        let negative = bits >> 63 == 1;
-        let exp_field = ((bits >> 52) & 0x7ff) as i64;
-        let frac = bits & ((1u64 << 52) - 1);
-        // x = ±mantissa * 2^exp with an integer mantissa.
-        let (mantissa, exp) = if exp_field == 0 {
-            (frac, -1074i64) // subnormal
-        } else {
-            (frac | (1u64 << 52), exp_field - 1075)
-        };
-        // Bit offset of the mantissa's LSB inside the accumulator.
-        let pos = exp + (BIAS_LIMB as i64) * 64;
-        debug_assert!(pos >= 0 && pos + 53 < TOTAL_BITS);
-        let limb = (pos / 64) as usize;
-        let off = (pos % 64) as u32;
-        let wide = u128::from(mantissa) << off;
-        let lo = wide as u64;
-        let hi = (wide >> 64) as u64;
-        if negative {
-            self.sub_at(limb, lo, hi);
-        } else {
-            self.add_at(limb, lo, hi);
-        }
-    }
-
-    /// Folds another sum into this one. Exactly associative and
-    /// commutative: limb-wise integer addition.
-    pub fn merge(&mut self, other: &Self) {
-        let mut carry = 0u64;
-        for i in 0..LIMBS {
-            let (a, c1) = self.limbs[i].overflowing_add(other.limbs[i]);
-            let (b, c2) = a.overflowing_add(carry);
-            self.limbs[i] = b;
-            carry = u64::from(c1) + u64::from(c2);
-        }
-        self.non_finite += other.non_finite;
-    }
-
-    fn add_at(&mut self, limb: usize, lo: u64, hi: u64) {
-        let mut carry;
-        let (v, c) = self.limbs[limb].overflowing_add(lo);
-        self.limbs[limb] = v;
-        carry = u64::from(c);
-        if limb + 1 < LIMBS {
-            let (a, c1) = self.limbs[limb + 1].overflowing_add(hi);
-            let (b, c2) = a.overflowing_add(carry);
-            self.limbs[limb + 1] = b;
-            carry = u64::from(c1) + u64::from(c2);
-            let mut i = limb + 2;
-            while carry > 0 && i < LIMBS {
-                let (v, c) = self.limbs[i].overflowing_add(carry);
-                self.limbs[i] = v;
-                carry = u64::from(c);
-                i += 1;
-            }
-        }
-    }
-
-    fn sub_at(&mut self, limb: usize, lo: u64, hi: u64) {
-        let mut borrow;
-        let (v, b) = self.limbs[limb].overflowing_sub(lo);
-        self.limbs[limb] = v;
-        borrow = u64::from(b);
-        if limb + 1 < LIMBS {
-            let (a, b1) = self.limbs[limb + 1].overflowing_sub(hi);
-            let (c, b2) = a.overflowing_sub(borrow);
-            self.limbs[limb + 1] = c;
-            borrow = u64::from(b1) + u64::from(b2);
-            let mut i = limb + 2;
-            while borrow > 0 && i < LIMBS {
-                let (v, b) = self.limbs[i].overflowing_sub(borrow);
-                self.limbs[i] = v;
-                borrow = u64::from(b);
-                i += 1;
-            }
-        }
-    }
-
-    /// Rounds the exact total to the nearest `f64`, ties to even. NaN if
-    /// any non-finite value was added.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        if self.non_finite > 0 {
-            return f64::NAN;
-        }
-        let negative = self.limbs[LIMBS - 1] >> 63 == 1;
-        let mut mag = self.limbs;
-        if negative {
-            // Two's-complement negation to get the magnitude.
-            let mut carry = 1u64;
-            for limb in &mut mag {
-                let (v, c) = (!*limb).overflowing_add(carry);
-                *limb = v;
-                carry = u64::from(c);
-            }
-        }
-        let Some(top) = (0..LIMBS).rev().find(|&i| mag[i] != 0) else {
-            return 0.0;
-        };
-        // Global bit position of the most significant set bit.
-        let msb = (top as i64) * 64 + (63 - i64::from(mag[top].leading_zeros()));
-        // Unbiased binary exponent of the represented value.
-        let exp = msb - (BIAS_LIMB as i64) * 64;
-        // How many mantissa bits the result may keep: 53 for normal
-        // results, fewer as the value descends into the subnormals.
-        let prec = if exp >= -1022 { 53 } else { exp + 1075 };
-        if prec <= 0 {
-            // Below half the smallest subnormal (or exactly half of it,
-            // which ties to even, i.e. zero) — unless lower bits push it
-            // over the tie.
-            let rounds_up = prec == 0 && sticky_below(&mag, msb);
-            let tiny = if rounds_up { f64::from_bits(1) } else { 0.0 };
-            return if negative { -tiny } else { tiny };
-        }
-        let lsb_pos = msb - prec + 1;
-        let mut mantissa = extract_bits(&mag, lsb_pos, prec as u32);
-        let round = bit_at(&mag, lsb_pos - 1) == 1;
-        let sticky = sticky_below(&mag, lsb_pos - 1);
-        let mut scale_exp = lsb_pos - (BIAS_LIMB as i64) * 64;
-        if round && (sticky || mantissa & 1 == 1) {
-            mantissa += 1;
-            if mantissa == 1u64 << prec {
-                mantissa >>= 1;
-                scale_exp += 1;
-            }
-        }
-        let magnitude = compose(mantissa, scale_exp);
-        if negative {
-            -magnitude
-        } else {
-            magnitude
-        }
-    }
-}
-
-/// Bit of `mag` at global position `pos` (0 outside the accumulator).
-fn bit_at(mag: &[u64; LIMBS], pos: i64) -> u64 {
-    if !(0..TOTAL_BITS).contains(&pos) {
-        0
-    } else {
-        (mag[(pos / 64) as usize] >> (pos % 64)) & 1
-    }
-}
-
-/// Bits `lo .. lo + width` of `mag` as an integer (LSB first).
-fn extract_bits(mag: &[u64; LIMBS], lo: i64, width: u32) -> u64 {
-    let mut v = 0u64;
-    for k in 0..width {
-        v |= bit_at(mag, lo + i64::from(k)) << k;
-    }
-    v
-}
-
-/// Whether any bit strictly below global position `pos` is set.
-fn sticky_below(mag: &[u64; LIMBS], pos: i64) -> bool {
-    if pos <= 0 {
-        return false;
-    }
-    let pos = pos.min(TOTAL_BITS);
-    let full = (pos / 64) as usize;
-    let rem = (pos % 64) as u32;
-    if mag.iter().take(full).any(|&l| l != 0) {
-        return true;
-    }
-    rem > 0 && full < LIMBS && mag[full] & ((1u64 << rem) - 1) != 0
-}
-
-/// `m * 2^e` with `m < 2^53`, exact whenever the result is representable
-/// (rounding already happened at the accumulator's precision).
-fn compose(m: u64, e: i64) -> f64 {
-    let mut x = m as f64;
-    let mut e = e;
-    while e > 0 {
-        let s = e.min(1000);
-        x *= 2f64.powi(s as i32);
-        if x.is_infinite() {
-            return x;
-        }
-        e -= s;
-    }
-    while e < 0 {
-        let s = (-e).min(1000);
-        x *= 2f64.powi(-(s as i32));
-        e += s;
-    }
-    x
-}
-
 /// Deterministic aggregate of many [`SimReport`]s.
 ///
-/// Counters sum exactly in `u64`; time/energy totals sum through
-/// [`ExactSum`], so merging the same reports in any grouping — per shard,
-/// pairwise, serial — produces bit-identical state and readouts. Combine
-/// per-shard partials with [`MergedReport::combine`].
+/// Counters sum exactly in `u64`; time/energy totals are plain `f64`
+/// sums, so absorbing the same reports in the same order produces
+/// bit-identical state and readouts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MergedReport {
     runs: u64,
-    duration: ExactSum,
-    occupancy_energy: ExactSum,
-    switch_energy: ExactSum,
-    queue_integral: ExactSum,
-    sojourn_sum: ExactSum,
+    duration: f64,
+    occupancy_energy: f64,
+    switch_energy: f64,
+    queue_integral: f64,
+    sojourn_sum: f64,
     arrivals: u64,
     completed: u64,
     lost: u64,
@@ -284,35 +41,17 @@ impl MergedReport {
     /// Folds one run's report into the aggregate.
     pub fn absorb(&mut self, report: &SimReport) {
         self.runs += 1;
-        self.duration.add(report.duration);
-        self.occupancy_energy.add(report.occupancy_energy);
-        self.switch_energy.add(report.switch_energy);
-        self.queue_integral.add(report.queue_integral);
-        self.sojourn_sum.add(report.sojourn_sum);
+        self.duration += report.duration;
+        self.occupancy_energy += report.occupancy_energy;
+        self.switch_energy += report.switch_energy;
+        self.queue_integral += report.queue_integral;
+        self.sojourn_sum += report.sojourn_sum;
         self.arrivals += report.arrivals;
         self.completed += report.completed;
         self.lost += report.lost;
         self.switches += report.switches;
         self.consultations += report.consultations;
         self.events += report.events;
-    }
-
-    /// Folds another aggregate (e.g. a shard's partial) into this one.
-    /// Exactly associative: `combine` over any grouping of the same
-    /// reports yields identical state.
-    pub fn combine(&mut self, other: &Self) {
-        self.runs += other.runs;
-        self.duration.merge(&other.duration);
-        self.occupancy_energy.merge(&other.occupancy_energy);
-        self.switch_energy.merge(&other.switch_energy);
-        self.queue_integral.merge(&other.queue_integral);
-        self.sojourn_sum.merge(&other.sojourn_sum);
-        self.arrivals += other.arrivals;
-        self.completed += other.completed;
-        self.lost += other.lost;
-        self.switches += other.switches;
-        self.consultations += other.consultations;
-        self.events += other.events;
     }
 
     /// Number of reports absorbed.
@@ -324,39 +63,37 @@ impl MergedReport {
     /// Total simulated time across all runs.
     #[must_use]
     pub fn duration(&self) -> f64 {
-        self.duration.value()
+        self.duration
     }
 
     /// Total mode-occupancy energy in joules.
     #[must_use]
     pub fn occupancy_energy(&self) -> f64 {
-        self.occupancy_energy.value()
+        self.occupancy_energy
     }
 
     /// Total mode-switch energy in joules.
     #[must_use]
     pub fn switch_energy(&self) -> f64 {
-        self.switch_energy.value()
+        self.switch_energy
     }
 
     /// Total energy in joules (occupancy plus switching).
     #[must_use]
     pub fn total_energy(&self) -> f64 {
-        let mut total = self.occupancy_energy.clone();
-        total.merge(&self.switch_energy);
-        total.value()
+        self.occupancy_energy + self.switch_energy
     }
 
     /// Total time-weighted queue-length integral.
     #[must_use]
     pub fn queue_integral(&self) -> f64 {
-        self.queue_integral.value()
+        self.queue_integral
     }
 
     /// Total sojourn time over completed requests.
     #[must_use]
     pub fn sojourn_sum(&self) -> f64 {
-        self.sojourn_sum.value()
+        self.sojourn_sum
     }
 
     /// Requests generated across all runs.
@@ -445,179 +182,6 @@ mod tests {
 
     fn assert_bits(a: f64, b: f64) {
         assert_eq!(a.to_bits(), b.to_bits(), "{a:e} != {b:e}");
-    }
-
-    #[test]
-    fn single_values_round_trip_exactly() {
-        let cases = [
-            0.0,
-            -0.0,
-            1.0,
-            -3.5,
-            1.5e-3,
-            6.02e23,
-            -1e300,
-            f64::MAX,
-            f64::MIN_POSITIVE,                     // smallest normal
-            f64::from_bits(1),                     // smallest subnormal
-            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
-            1e-310,
-            -4.9e-324,
-            std::f64::consts::PI,
-        ];
-        for x in cases {
-            let mut s = ExactSum::new();
-            s.add(x);
-            // -0.0 reads back as +0.0: the accumulator stores the value,
-            // not the representation.
-            let expected = if x.to_bits() << 1 == 0 { 0.0 } else { x };
-            assert_bits(s.value(), expected);
-        }
-    }
-
-    #[test]
-    fn catastrophic_cancellation_is_exact() {
-        let mut s = ExactSum::new();
-        s.add(1e16);
-        s.add(1.0);
-        s.add(-1e16);
-        assert_bits(s.value(), 1.0);
-        // The same sequence in plain f64 loses the 1.0 entirely? No —
-        // 1e16 + 1.0 is representable; use a harder case.
-        let mut s = ExactSum::new();
-        s.add(1e17);
-        s.add(1.0);
-        s.add(-1e17);
-        assert_bits(s.value(), 1.0);
-        let naive = (1e17f64 + 1.0) - 1e17;
-        assert_eq!(naive.to_bits(), 0.0f64.to_bits()); // f64 loses it
-    }
-
-    #[test]
-    fn rounding_is_ties_to_even() {
-        // 1 + 2^-53 is exactly halfway between 1 and the next double;
-        // ties-to-even keeps 1.0.
-        let mut s = ExactSum::new();
-        s.add(1.0);
-        s.add(2f64.powi(-53));
-        assert_bits(s.value(), 1.0);
-        // Adding any speck below the tie pushes it up.
-        s.add(2f64.powi(-120));
-        assert_bits(s.value(), 1.0 + 2f64.powi(-52));
-        // 1 + 3·2^-53 = 1 + 2^-52 + 2^-53 sits halfway between 1+2^-52
-        // and 1+2^-51; the tie resolves to the even mantissa, 1+2^-51.
-        let mut s = ExactSum::new();
-        s.add(1.0);
-        s.add(3.0 * 2f64.powi(-53));
-        assert_bits(s.value(), 1.0 + 2f64.powi(-51));
-    }
-
-    #[test]
-    fn grouping_does_not_change_the_sum() {
-        // Deterministic pseudo-random-ish values spanning magnitudes.
-        let values: Vec<f64> = (0..200)
-            .map(|i| {
-                let sign = if i % 3 == 0 { -1.0 } else { 1.0 };
-                let mag = 2f64.powi(i % 61 - 30);
-                sign * mag * (1.0 + (i as f64) / 7.0)
-            })
-            .collect();
-        let mut serial = ExactSum::new();
-        for &v in &values {
-            serial.add(v);
-        }
-        for chunk_size in [1usize, 3, 7, 50, 200] {
-            let mut merged = ExactSum::new();
-            for chunk in values.chunks(chunk_size) {
-                let mut part = ExactSum::new();
-                for &v in chunk {
-                    part.add(v);
-                }
-                merged.merge(&part);
-            }
-            assert_eq!(merged, serial);
-            assert_bits(merged.value(), serial.value());
-        }
-        // Reversed order too (commutativity).
-        let mut rev = ExactSum::new();
-        for &v in values.iter().rev() {
-            rev.add(v);
-        }
-        assert_eq!(rev, serial);
-    }
-
-    #[test]
-    fn non_finite_poisons_to_nan() {
-        let mut s = ExactSum::new();
-        s.add(1.0);
-        s.add(f64::INFINITY);
-        assert!(s.value().is_nan());
-        let mut t = ExactSum::new();
-        t.add(f64::NAN);
-        let mut u = ExactSum::new();
-        u.add(2.0);
-        u.merge(&t);
-        assert!(u.value().is_nan());
-    }
-
-    fn report(k: u64) -> SimReport {
-        // Field values chosen so f64 addition order would actually matter.
-        let scale = 2f64.powi((k % 40) as i32 - 20);
-        SimReport {
-            policy: "merge-test".to_owned(),
-            seed: k,
-            duration: 100.0 * scale + 0.1 * k as f64,
-            occupancy_energy: 900.0 * scale + 1.0 / (k + 1) as f64,
-            switch_energy: 10.0 * scale,
-            queue_integral: 50.0 * scale + 1e-9 * k as f64,
-            arrivals: 40 + k,
-            completed: 36 + k,
-            lost: 4,
-            switches: 12,
-            sojourn_sum: 72.0 * scale,
-            consultations: 90 + 2 * k,
-            events: 250 + 3 * k,
-            power_ci: None,
-            sojourn_ci: None,
-        }
-    }
-
-    #[test]
-    fn shard_merge_equals_serial_field_for_field() {
-        let reports: Vec<SimReport> = (0..64).map(report).collect();
-        let mut serial = MergedReport::new();
-        for r in &reports {
-            serial.absorb(r);
-        }
-        for shards in [1usize, 2, 3, 5, 8, 64] {
-            let chunk = reports.len().div_ceil(shards);
-            let mut total = MergedReport::new();
-            for block in reports.chunks(chunk) {
-                let mut partial = MergedReport::new();
-                for r in block {
-                    partial.absorb(r);
-                }
-                total.combine(&partial);
-            }
-            // Field-for-field: the aggregates' internal state is equal…
-            assert_eq!(total, serial, "sharded {shards} ways");
-            // …and every readout is bit-identical.
-            assert_bits(total.duration(), serial.duration());
-            assert_bits(total.total_energy(), serial.total_energy());
-            assert_bits(total.switch_energy(), serial.switch_energy());
-            assert_bits(total.queue_integral(), serial.queue_integral());
-            assert_bits(total.sojourn_sum(), serial.sojourn_sum());
-            assert_bits(total.average_power(), serial.average_power());
-            assert_bits(total.average_queue_length(), serial.average_queue_length());
-            assert_bits(total.average_waiting_time(), serial.average_waiting_time());
-            assert_eq!(total.runs(), serial.runs());
-            assert_eq!(total.arrivals(), serial.arrivals());
-            assert_eq!(total.completed(), serial.completed());
-            assert_eq!(total.lost(), serial.lost());
-            assert_eq!(total.switches(), serial.switches());
-            assert_eq!(total.consultations(), serial.consultations());
-            assert_eq!(total.events(), serial.events());
-        }
     }
 
     #[test]
