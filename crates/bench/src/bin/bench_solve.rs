@@ -3,9 +3,12 @@
 //!
 //! Three measurement groups, each with a correctness check riding along:
 //!
-//! 1. **Improvement sweep** at queue capacity `--capacity` (default 100):
-//!    [`average::improve`], the two-stage rule policy iteration runs,
-//!    timed at the converged policy, where it must be a fixpoint.
+//! 1. **Evaluation and improvement** at queue capacity `--capacity`
+//!    (default 100), both timed at the converged policy: evaluation is
+//!    [`ChainFactors::new`] on the policy's chain plus
+//!    [`ChainFactors::solve`] for its gains and bias, which must equal
+//!    policy iteration's own; improvement is [`average::improve`], the
+//!    two-stage rule policy iteration runs, which must be a fixpoint.
 //! 2. **Solve-phase pipeline**: a weight sweep as a
 //!    [`dpm_harness::solve::SolvePlan`] at 1 worker versus
 //!    `--solve-workers`, checked bit-identical. Each pipeline is timed as
@@ -33,7 +36,7 @@
 use dpm_bench::{row, rule, time_sweeps};
 use dpm_core::{optimize, PmSystem, SpModel, SrModel};
 use dpm_ctmc::{
-    stationary::{self, Method},
+    stationary::{self, ChainFactors, Method},
     SparseGenerator,
 };
 use dpm_harness::{
@@ -93,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tolerance = args.get_f64("tol", stationary::DEFAULT_TOLERANCE)?;
 
     // ------------------------------------------------------------------
-    // 1. Improvement sweep at Q = capacity.
+    // 1. Evaluation and improvement sweep at Q = capacity.
     // ------------------------------------------------------------------
     let mdp = paper_mdp(capacity, 1.0)?;
     let n = mdp.n_states();
@@ -103,6 +106,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let initial = mdp.min_cost_policy();
     let solved = average::policy_iteration_multichain(&mdp, initial, &average::Options::default())?;
     let policy = solved.policy().clone();
+    let generator = mdp.sparse_generator_for(&policy)?;
+    let costs = mdp.cost_rates_for(&policy)?;
+    let (evaluated, eval_secs) = time_sweeps(rounds, || {
+        ChainFactors::new(&generator).and_then(|factors| factors.solve(&costs))
+    });
+    let (eval_gains, eval_bias) = evaluated?;
+    // Policy iteration's last round evaluated this very chain.
+    let evaluation_matches = eval_gains == *solved.gains() && eval_bias == *solved.bias();
     let tol = average::Options::default().improvement_tolerance;
     let (improved, improve_secs) = time_sweeps(rounds, || {
         average::improve(&kernel, &policy, solved.gains(), solved.bias(), tol)
@@ -210,6 +221,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rule(&widths);
     row(
         &[
+            "policy evaluation".into(),
+            format!("{eval_secs:.3e}"),
+            "-".into(),
+        ],
+        &widths,
+    );
+    row(
+        &[
             "improvement sweep".into(),
             format!("{improve_secs:.3e}"),
             "-".into(),
@@ -257,8 +276,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "\nchecks: improvement fixpoint = {improvement_fixpoint}, pipeline identical = \
-         {pipeline_identical},\n        \
+        "\nchecks: evaluation matches = {evaluation_matches}, improvement fixpoint = \
+         {improvement_fixpoint},\n        pipeline identical = {pipeline_identical}, \
          solver tiers agree = {tiers_agree} (max diff {tier_max_diff:.2e})"
     );
 
@@ -276,12 +295,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     params.set("tol", Json::num(tolerance));
     doc.set("params", params);
     let mut checks = Json::object();
+    checks.set("evaluation_matches_policy_iteration", evaluation_matches);
     checks.set("improvement_is_fixpoint", improvement_fixpoint);
     checks.set("solve_parallel_identical", pipeline_identical);
     checks.set("stationary_tiers_agree", tiers_agree);
     checks.set("stationary_tiers_max_diff", Json::num(tier_max_diff));
     doc.set("checks", checks);
     let mut timers = Json::object();
+    timers.set("eval_secs", Json::num(eval_secs));
     timers.set("improve_secs", Json::num(improve_secs));
     timers.set("pipeline_serial_secs", Json::num(serial_secs));
     timers.set("pipeline_parallel_secs", Json::num(parallel_secs));
@@ -301,7 +322,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     doc.set("timers", timers);
 
     artifact::write(&out, &doc)?;
-    if !(improvement_fixpoint && pipeline_identical && tiers_agree) {
+    if !(evaluation_matches && improvement_fixpoint && pipeline_identical && tiers_agree) {
         return Err("solve-phase correctness checks failed (see artifact)".into());
     }
     println!("artifact: {out}");

@@ -54,7 +54,7 @@
 //! Gauss–Seidel automatically.
 
 use dpm_linalg::krylov::{self, Ilu0, KrylovOptions, KrylovResult};
-use dpm_linalg::{CsrMatrix, DMatrix, DVector, LinalgError, LinearOperator, Lu, Precondition};
+use dpm_linalg::{CsrMatrix, DVector, LinalgError, LinearOperator, Lu, Precondition};
 
 use crate::graph::{self, Classes};
 use crate::{CtmcError, Generator, SparseGenerator};
@@ -898,8 +898,10 @@ impl std::fmt::Display for ChainBlock {
 /// The gain/bias equations `c − g + G v = 0` of a possibly multichain
 /// chain, factored once and solvable for any number of cost vectors.
 ///
-/// Construction runs one Tarjan pass and factors one dense [`Lu`] per
-/// block, each assembled straight from the generator's CSR rows:
+/// Construction runs one Tarjan pass and factors one [`Lu`] per block
+/// ([`Lu::from_rows`]), each block's rows taken straight from the
+/// generator's CSR rows, so only stored entries and their fill are ever
+/// held — no `k × k` array:
 ///
 /// * each closed class `C` gets the combined system over the unknowns
 ///   `(v_j for j ∈ C \ {first}, g_C / s)`: the bias is pinned to zero at
@@ -1004,23 +1006,23 @@ impl ChainFactors {
                 recurrent[state] = true;
             }
             let k = members.len();
-            let mut a = DMatrix::zeros(k, k);
-            let mut max_abs = 0.0f64;
-            for (row, &i) in members.iter().enumerate() {
-                // Closedness keeps every entry inside the class; the pinned
-                // state's column drops out.
-                for (j, rate) in csr.row(i) {
-                    if local[j] > 0 {
-                        a[(row, local[j] - 1)] = rate;
-                        max_abs = max_abs.max(rate.abs());
-                    }
-                }
-            }
+            // Closedness keeps every entry inside the class; the pinned
+            // state's column drops out. Members ascend, so each row's
+            // local columns do too, and the gain column comes last.
+            let row = |i: usize| {
+                csr.row(i)
+                    .filter(|&(j, _)| local[j] > 0)
+                    .map(|(j, rate)| (local[j] - 1, rate))
+            };
+            let max_abs = members
+                .iter()
+                .flat_map(|&i| row(i))
+                .fold(0.0f64, |m, (_, rate)| m.max(rate.abs()));
             let scale = gain_scale(max_abs);
-            for row in 0..k {
-                a[(row, k - 1)] = -scale;
-            }
-            let factor = match Lu::new(a) {
+            let rows = members
+                .iter()
+                .map(|&i| row(i).chain(std::iter::once((k - 1, -scale))));
+            let factor = match Lu::from_rows(k, rows) {
                 Ok(lu) => ClassFactor::Lu { lu, scale },
                 Err(LinalgError::Singular { pivot }) => {
                     let sub = generator.closed_class(&members)?;
@@ -1045,18 +1047,20 @@ impl ChainFactors {
                 local[state] = l;
             }
             let t = states.len();
-            let mut a = DMatrix::zeros(t, t);
             let mut exits = Vec::new();
             for (row, &i) in states.iter().enumerate() {
                 for (j, rate) in csr.row(i) {
                     if recurrent[j] {
                         exits.push((row, j, rate));
-                    } else {
-                        a[(row, local[j])] = rate;
                     }
                 }
             }
-            let lu = Lu::new(a).map_err(|e| match e {
+            let rows = states.iter().map(|&i| {
+                csr.row(i)
+                    .filter(|&(j, _)| !recurrent[j])
+                    .map(|(j, rate)| (local[j], rate))
+            });
+            let lu = Lu::from_rows(t, rows).map_err(|e| match e {
                 LinalgError::Singular { pivot } => CtmcError::SingularBlock {
                     block: ChainBlock::Transient,
                     states: t,
@@ -1847,6 +1851,7 @@ mod gth_tests {
 
     use super::*;
     use crate::Dtmc;
+    use dpm_linalg::DMatrix;
 
     /// The dense GTH the kernel replaced: the uniformized chain (margin
     /// 1.05), states eliminated from the last index down in natural order,

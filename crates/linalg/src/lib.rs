@@ -6,7 +6,8 @@
 //!
 //! * [`DVector`] and [`DMatrix`] — growable dense vectors and row-major
 //!   matrices over `f64`;
-//! * [`Lu`] — LU decomposition with partial pivoting, giving linear solves,
+//! * [`Lu`] — LU decomposition with partial pivoting over sparse rows
+//!   (dense matrices or `(column, value)` rows), giving linear solves,
 //!   determinants and inverses;
 //! * [`kron`] / [`kron_sum`] — the Kronecker (tensor) product and sum used by
 //!   the paper's compositional generator construction (Definition 4.4), with

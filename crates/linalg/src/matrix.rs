@@ -190,11 +190,6 @@ impl DMatrix {
         &self.data
     }
 
-    /// Borrows the row-major storage mutably.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Returns the transpose.
     #[must_use]
     pub fn transpose(&self) -> DMatrix {
@@ -389,14 +384,16 @@ impl DMatrix {
         }
     }
 
-    /// Computes the LU decomposition with partial pivoting.
+    /// Computes the LU decomposition with partial pivoting, storing and
+    /// eliminating only the entries that are not `+0.0` ([`Lu::new`]).
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::NotSquare`] for non-square matrices and
+    /// Returns [`LinalgError::NotSquare`] for non-square matrices,
+    /// [`LinalgError::InvalidInput`] for a NaN or infinite entry and
     /// [`LinalgError::Singular`] if a zero pivot is encountered.
     pub fn lu(&self) -> Result<Lu, LinalgError> {
-        Lu::new(self.clone())
+        Lu::from_dense(self)
     }
 }
 

@@ -10,7 +10,7 @@
 //!
 //! [`Precondition`] is the matching abstraction on the `M⁻¹r` side. Two
 //! preconditioners implement it: [`crate::krylov::Ilu0`] for assembled
-//! matrices, and [`BlockJacobi`] — independent dense LU solves on the
+//! matrices, and [`BlockJacobi`] — independent LU solves on the dense
 //! diagonal blocks, the natural preconditioner for Kronecker-sum
 //! operators whose trailing factor gives the block structure.
 
@@ -90,7 +90,7 @@ pub trait Precondition {
     fn precondition(&self, r: &DVector) -> Result<DVector, LinalgError>;
 }
 
-/// Block-Jacobi preconditioner: independent dense LU solves on a list of
+/// Block-Jacobi preconditioner: independent LU solves on a list of dense
 /// diagonal blocks.
 ///
 /// The preconditioned residual is computed block by block:

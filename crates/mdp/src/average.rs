@@ -23,7 +23,7 @@
 //! policy's chain need no second factorization.
 //!
 //! [`evaluate`] solves the unichain equations `c − g·1 + G v = 0` by one
-//! dense LU. It shares no code with [`ChainFactors`] and serves as the
+//! LU of their dense matrix. It shares no code with [`ChainFactors`] and serves as the
 //! independent oracle the tests check it against.
 
 use std::cmp::Ordering;
@@ -104,8 +104,8 @@ fn bias_column(j: usize, reference_state: usize) -> Option<usize> {
 }
 
 /// Solves the unichain evaluation equations `c − g·1 + G v = 0`,
-/// `v[reference_state] = 0` for `policy` by one dense LU, returning its
-/// gain and bias.
+/// `v[reference_state] = 0` for `policy` by one LU of the dense system,
+/// returning its gain and bias.
 ///
 /// The gain column is filled with `−s` for `s =`
 /// [`gain_scale`]`(max |G_ij|)`, so uniformly fast rates do not push it

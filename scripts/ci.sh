@@ -49,6 +49,13 @@ fi
 echo "=== cargo test ==="
 cargo test --workspace -q
 
+echo "=== LU bit-identity proptests under eight seeds (release test binary) ==="
+# Sparse-row LU must match the textbook elimination bit for bit on every
+# draw, not only on the default seed's.
+for seed in $(seq 1 8); do
+    PROPTEST_SEED="$seed" cargo test -q --release -p dpm-linalg --lib lu::tests
+done
+
 echo "=== golden frontier digest (all 102 perfbench frontier points, every output bit) ==="
 # The Q = 20 third runs with the suite above; the full sweep is ignored
 # there because it is slow unoptimized.

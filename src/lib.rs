@@ -11,7 +11,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`linalg`] | `dpm-linalg` | dense matrices, CSR sparse matrices, dense LU, Kronecker algebra, preconditioned Krylov solvers over any linear operator (BiCGSTAB, GMRES(60), ILU(0), block Jacobi) |
+//! | [`linalg`] | `dpm-linalg` | dense matrices, CSR sparse matrices, sparse-row LU, Kronecker algebra, preconditioned Krylov solvers over any linear operator (BiCGSTAB, GMRES(60), ILU(0), block Jacobi) |
 //! | [`ctmc`] | `dpm-ctmc` | Markov chains: dense and sparse generators, the unified `stationary::Solver` builder over `Method::{Gth, Iterative, BiCgStab}` (solving the closed class of a unichain input), transient analysis, rewards |
 //! | [`lp`] | `dpm-lp` | two-phase primal simplex |
 //! | [`mdp`] | `dpm-mdp` | CTMDP solvers: policy iteration (Howard's multichain algorithm over `ChainFactors` evaluation), value iteration, occupation-measure LPs |
