@@ -106,8 +106,8 @@ pub fn optimal_policy(system: &PmSystem, weight: f64) -> Result<OptimalSolution,
     // unichain — the safe starting point for Howard's algorithm. (The
     // min-cost default start is "stay everywhere", whose chain decomposes
     // into one class per mode.)
-    let initial =
-        PmPolicy::always_on(system, fastest_active_mode(system)?)?.to_mdp_policy(system)?;
+    let fastest = system.state(system.initial_state_index()).mode();
+    let initial = PmPolicy::always_on(system, fastest)?.to_mdp_policy(system)?;
     let solution =
         average::policy_iteration_multichain(&mdp, initial, &options).map_err(DpmError::Mdp)?;
     let policy = PmPolicy::from_mdp_policy(system, solution.policy())?;
@@ -123,18 +123,6 @@ pub fn optimal_policy(system: &PmSystem, weight: f64) -> Result<OptimalSolution,
         eval_residual: solution.eval_residual(),
         eval_secs: solution.eval_timings().to_vec(),
     })
-}
-
-/// The active mode with the highest service rate, where policy iteration
-/// starts.
-fn fastest_active_mode(system: &PmSystem) -> Result<usize, DpmError> {
-    let sp = system.provider();
-    sp.active_modes()
-        .into_iter()
-        .max_by(|&a, &b| sp.service_rate(a).total_cmp(&sp.service_rate(b)))
-        .ok_or_else(|| DpmError::InvalidModel {
-            reason: "provider has no active mode".to_owned(),
-        })
 }
 
 /// Solves for every weight in `weights`, returning the frontier in input

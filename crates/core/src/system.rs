@@ -1,6 +1,7 @@
 //! Composition of the power-managed system (SYS) from SP, SR and SQ.
 
 use std::fmt;
+use std::sync::Arc;
 
 use dpm_mdp::Ctmdp;
 
@@ -109,6 +110,12 @@ pub struct PmSystem {
     capacity: usize,
     instant_rate: f64,
     states: Vec<SysState>,
+    /// `active_pos[mode]`: the mode's position among the active modes,
+    /// whose transfer states follow the stable ones in that order; `None`
+    /// for an inactive mode.
+    active_pos: Vec<Option<usize>>,
+    /// Index of the canonical initial state.
+    initial_state: usize,
     /// Valid destination modes per state (the action sets `A_x`).
     action_dests: Vec<Vec<usize>>,
     /// Power cost rate per state per action (parallel to `action_dests`).
@@ -174,24 +181,33 @@ impl PmSystem {
     /// (e.g. a transfer state for an inactive mode).
     #[must_use]
     pub fn index_of(&self, state: SysState) -> Option<usize> {
-        let s = self.sp.n_modes();
         let q = self.capacity;
         match state {
-            SysState::Stable { mode, jobs } if mode < s && jobs <= q => Some(mode * (q + 1) + jobs),
-            SysState::Transfer { mode, departing }
-                if mode < s && self.sp.is_active(mode) && (1..=q).contains(&departing) =>
-            {
-                let active_pos = self
-                    .sp
-                    .active_modes()
-                    .iter()
-                    .position(|&a| a == mode)
-                    // dpm-lint: allow(no_panic, reason = "the mode was checked active immediately above")
-                    .expect("mode checked active");
-                Some(s * (q + 1) + active_pos * q + (departing - 1))
+            SysState::Stable { mode, jobs } if mode < self.sp.n_modes() && jobs <= q => {
+                Some(self.stable_index(mode, jobs))
             }
+            SysState::Transfer { mode, departing } if (1..=q).contains(&departing) => self
+                .active_pos
+                .get(mode)
+                .copied()
+                .flatten()
+                .map(|pos| self.transfer_index(pos, departing)),
             _ => None,
         }
+    }
+
+    /// Index of `Stable { mode, jobs }`: stable states come first, mode by
+    /// mode.
+    fn stable_index(&self, mode: usize, jobs: usize) -> usize {
+        mode * (self.capacity + 1) + jobs
+    }
+
+    /// Index of `Transfer { mode, departing }` for the mode at position
+    /// `pos` among the active modes: transfer states follow the stable
+    /// ones, active mode by active mode.
+    fn transfer_index(&self, pos: usize, departing: usize) -> usize {
+        let q = self.capacity;
+        self.sp.n_modes() * (q + 1) + pos * q + (departing - 1)
     }
 
     /// Valid destination modes (the action set `A_x`) for the state at
@@ -240,68 +256,54 @@ impl PmSystem {
     /// Panics if either index is out of range.
     #[must_use]
     pub fn transitions(&self, index: usize, action: usize) -> Vec<(usize, f64)> {
+        let mut out = Vec::new();
+        self.push_transitions(index, action, &mut out);
+        out
+    }
+
+    /// Appends [`PmSystem::transitions`] to `out`: arrival, service
+    /// completion, then the commanded switch. Each target index is
+    /// computed from the state's own, so nothing is looked up or
+    /// allocated.
+    pub(crate) fn push_transitions(
+        &self,
+        index: usize,
+        action: usize,
+        out: &mut Vec<(usize, f64)>,
+    ) {
         let dest = self.action_dests[index][action];
         let lambda = self.sr.rate();
         let q = self.capacity;
-        let mut out = Vec::new();
         match self.states[index] {
             SysState::Stable { mode, jobs } => {
                 if jobs < q {
-                    let to = self
-                        .index_of(SysState::Stable {
-                            mode,
-                            jobs: jobs + 1,
-                        })
-                        // dpm-lint: allow(no_panic, reason = "the target state was inserted during the state-space enumeration above")
-                        .expect("arrival target exists");
-                    out.push((to, lambda));
+                    // `Stable { mode, jobs + 1 }` is the next index.
+                    out.push((index + 1, lambda));
                 }
-                let mu = self.sp.service_rate(mode);
-                if mu > 0.0 && jobs >= 1 {
-                    let to = self
-                        .index_of(SysState::Transfer {
-                            mode,
-                            departing: jobs,
-                        })
-                        // dpm-lint: allow(no_panic, reason = "the target state was inserted during the state-space enumeration above")
-                        .expect("transfer target exists");
-                    out.push((to, mu));
+                // A mode has a position exactly when it serves (μ > 0).
+                if let (Some(pos), true) = (self.active_pos[mode], jobs >= 1) {
+                    out.push((self.transfer_index(pos, jobs), self.sp.service_rate(mode)));
                 }
                 if dest != mode {
-                    let to = self
-                        .index_of(SysState::Stable { mode: dest, jobs })
-                        // dpm-lint: allow(no_panic, reason = "the target state was inserted during the state-space enumeration above")
-                        .expect("switch target exists");
-                    out.push((to, self.sp.switch_rate(mode, dest)));
+                    out.push((
+                        self.stable_index(dest, jobs),
+                        self.sp.switch_rate(mode, dest),
+                    ));
                 }
             }
             SysState::Transfer { mode, departing } => {
                 if departing < q {
-                    let to = self
-                        .index_of(SysState::Transfer {
-                            mode,
-                            departing: departing + 1,
-                        })
-                        // dpm-lint: allow(no_panic, reason = "the target state was inserted during the state-space enumeration above")
-                        .expect("transfer arrival target exists");
-                    out.push((to, lambda));
+                    // `Transfer { mode, departing + 1 }` is the next index.
+                    out.push((index + 1, lambda));
                 }
                 let rate = if dest == mode {
                     self.instant_rate
                 } else {
                     self.sp.switch_rate(mode, dest)
                 };
-                let to = self
-                    .index_of(SysState::Stable {
-                        mode: dest,
-                        jobs: departing - 1,
-                    })
-                    // dpm-lint: allow(no_panic, reason = "the target state was inserted during the state-space enumeration above")
-                    .expect("completion target exists");
-                out.push((to, rate));
+                out.push((self.stable_index(dest, departing - 1), rate));
             }
         }
-        out
     }
 
     /// Builds the CTMDP with total cost rate
@@ -317,13 +319,19 @@ impl PmSystem {
                 reason: format!("performance weight {weight} must be finite and >= 0"),
             });
         }
+        // One label per mode and one transition buffer, shared by every
+        // state-action pair.
+        let labels: Vec<Arc<str>> = (0..self.sp.n_modes())
+            .map(|mode| Arc::from(format!("->{}", self.sp.label(mode))))
+            .collect();
+        let mut rates = Vec::new();
         let mut b = Ctmdp::builder(self.n_states());
         for index in 0..self.n_states() {
             for (action, &dest) in self.action_dests[index].iter().enumerate() {
                 let cost = self.power_cost[index][action] + weight * self.delay_cost[index];
-                let rates = self.transitions(index, action);
-                let label = format!("->{}", self.sp.label(dest));
-                b.action(index, label, cost, &rates)
+                rates.clear();
+                self.push_transitions(index, action, &mut rates);
+                b.action(index, Arc::clone(&labels[dest]), cost, &rates)
                     .map_err(DpmError::Mdp)?;
             }
         }
@@ -366,21 +374,7 @@ impl PmSystem {
     /// reported from here.
     #[must_use]
     pub fn initial_state_index(&self) -> usize {
-        let sp = &self.sp;
-        let mode = sp
-            .active_modes()
-            .into_iter()
-            .max_by(|&a, &b| {
-                sp.service_rate(a)
-                    .partial_cmp(&sp.service_rate(b))
-                    // dpm-lint: allow(no_panic, reason = "rates are validated finite when the model is constructed")
-                    .expect("finite rates")
-            })
-            // dpm-lint: allow(no_panic, reason = "SpModel validation guarantees an active mode")
-            .expect("provider has an active mode");
-        self.index_of(SysState::Stable { mode, jobs: 0 })
-            // dpm-lint: allow(no_panic, reason = "the initial state was inserted during the state-space enumeration above")
-            .expect("initial state exists")
+        self.initial_state
     }
 
     /// Per-state indicator of "arrivals are lost here" (queue full),
@@ -517,17 +511,30 @@ impl PmSystemBuilder {
         // Enumerate states: all (mode, jobs) stable, then transfer states
         // for active modes.
         let s = sp.n_modes();
+        let active = sp.active_modes();
         let mut states = Vec::with_capacity(s * (capacity + 1));
         for mode in 0..s {
             for jobs in 0..=capacity {
                 states.push(SysState::Stable { mode, jobs });
             }
         }
-        for &mode in &sp.active_modes() {
+        let mut active_pos = vec![None; s];
+        for (pos, &mode) in active.iter().enumerate() {
+            active_pos[mode] = Some(pos);
             for departing in 1..=capacity {
                 states.push(SysState::Transfer { mode, departing });
             }
         }
+        // The canonical initial state: empty queue, fastest active mode
+        // (the last one on a tie).
+        let fastest = active
+            .iter()
+            .copied()
+            .max_by(|&a, &b| sp.service_rate(a).total_cmp(&sp.service_rate(b)))
+            .ok_or_else(|| DpmError::InvalidModel {
+                reason: "provider has no active mode".to_owned(),
+            })?;
+        let initial_state = fastest * (capacity + 1);
 
         // Action sets under the paper's validity constraints.
         let mut action_dests = Vec::with_capacity(states.len());
@@ -619,6 +626,8 @@ impl PmSystemBuilder {
             capacity,
             instant_rate,
             states,
+            active_pos,
+            initial_state,
             action_dests,
             power_cost,
             delay_cost,

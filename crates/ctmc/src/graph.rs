@@ -13,12 +13,21 @@
 use crate::{Generator, SparseGenerator};
 
 /// The communicating-class decomposition of a chain.
+///
+/// Members are stored flat: one vector holds every class's members, class
+/// by class, and `offsets` marks where each class starts, so a
+/// decomposition costs a fixed handful of allocations however many classes
+/// it has.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Classes {
     /// `class_of[i]` is the index of the class containing state `i`.
     class_of: Vec<usize>,
-    /// Members of each class, in ascending state order.
-    members: Vec<Vec<usize>>,
+    /// Members of every class, class by class; each class's members in
+    /// ascending state order.
+    members: Vec<usize>,
+    /// `offsets[c]..offsets[c + 1]` is class `c`'s range of `members`;
+    /// length `len() + 1`.
+    offsets: Vec<usize>,
     /// `closed[c]`: no transition leaves class `c`.
     closed: Vec<bool>,
 }
@@ -27,13 +36,13 @@ impl Classes {
     /// Number of communicating classes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.closed.len()
     }
 
     /// Returns `true` if there are no classes (empty chain).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.closed.is_empty()
     }
 
     /// Class index of `state`.
@@ -46,19 +55,21 @@ impl Classes {
         self.class_of[state]
     }
 
-    /// Members of class `c`.
+    /// Members of class `c`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of range.
     #[must_use]
     pub fn members(&self, c: usize) -> &[usize] {
-        &self.members[c]
+        &self.members[self.offsets[c]..self.offsets[c + 1]]
     }
 
     /// Iterates over all classes.
     pub fn iter(&self) -> impl Iterator<Item = &[usize]> {
-        self.members.iter().map(Vec::as_slice)
+        self.offsets
+            .windows(2)
+            .map(|range| &self.members[range[0]..range[1]])
     }
 
     /// Iterates over the closed classes — those no transition leaves, in
@@ -104,11 +115,15 @@ fn adjacency(generator: &Generator) -> Vec<Vec<usize>> {
 /// ```
 #[must_use]
 pub fn communicating_classes(generator: &Generator) -> Classes {
-    classes_of_adjacency(generator.n_states(), &adjacency(generator))
+    let n = generator.n_states();
+    tarjan(n, |v| {
+        (0..n).filter(move |&w| w != v && generator.rate(v, w) > 0.0)
+    })
 }
 
 /// Sparse twin of [`communicating_classes`]: the same iterative Tarjan
-/// decomposition over a CSR-backed generator, without densifying.
+/// decomposition, walking the CSR rows in place (no adjacency lists, no
+/// densifying).
 ///
 /// # Examples
 ///
@@ -123,85 +138,93 @@ pub fn communicating_classes(generator: &Generator) -> Classes {
 /// ```
 #[must_use]
 pub fn communicating_classes_sparse(generator: &SparseGenerator) -> Classes {
-    let n = generator.n_states();
-    let mut adj = vec![Vec::new(); n];
-    for (from, to, _) in generator.transitions() {
-        adj[from].push(to);
-    }
-    classes_of_adjacency(n, &adj)
+    let csr = generator.csr();
+    tarjan(generator.n_states(), |v| {
+        csr.row(v)
+            .filter_map(move |(w, rate)| (w != v && rate > 0.0).then_some(w))
+    })
 }
 
-fn classes_of_adjacency(n: usize, adj: &[Vec<usize>]) -> Classes {
+/// Iterative Tarjan over the digraph whose edges out of `v` are
+/// `successors(v)` (positive off-diagonal rates, in ascending target
+/// order): classes are numbered in the order their roots finish. Each
+/// call-stack frame holds its vertex's live successor iterator, so no
+/// adjacency list is built and every edge is read once.
+///
+/// Closedness falls out of the same pass. An edge `v → w` stays inside
+/// `v`'s class exactly when `w` is still on the Tarjan stack once `w` has
+/// finished (its class's root is then an ancestor of `v`); every other
+/// edge leaves it, and `leaves[v]` records that.
+fn tarjan<I: Iterator<Item = usize>>(n: usize, successors: impl Fn(usize) -> I) -> Classes {
     const UNVISITED: usize = usize::MAX;
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0usize; n];
     let mut on_stack = vec![false; n];
+    let mut leaves = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
     let mut class_of = vec![UNVISITED; n];
-    let mut members: Vec<Vec<usize>> = Vec::new();
+    let mut members = Vec::with_capacity(n);
+    let mut offsets = vec![0];
+    let mut closed = Vec::new();
 
-    // Iterative Tarjan: each frame is (vertex, next child position).
-    let mut call_stack: Vec<(usize, usize)> = Vec::new();
+    let mut call_stack: Vec<(usize, I)> = Vec::new();
     for start in 0..n {
         if index[start] != UNVISITED {
             continue;
         }
-        call_stack.push((start, 0));
+        call_stack.push((start, successors(start)));
         index[start] = next_index;
         lowlink[start] = next_index;
         next_index += 1;
         stack.push(start);
         on_stack[start] = true;
 
-        while let Some(&mut (v, ref mut child)) = call_stack.last_mut() {
-            if *child < adj[v].len() {
-                let w = adj[v][*child];
-                *child += 1;
+        while let Some((v, edges)) = call_stack.last_mut() {
+            let v = *v;
+            if let Some(w) = edges.next() {
                 if index[w] == UNVISITED {
                     index[w] = next_index;
                     lowlink[w] = next_index;
                     next_index += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    call_stack.push((w, 0));
+                    call_stack.push((w, successors(w)));
                 } else if on_stack[w] {
                     lowlink[v] = lowlink[v].min(index[w]);
+                } else {
+                    leaves[v] = true;
                 }
-            } else {
-                call_stack.pop();
-                if let Some(&mut (parent, _)) = call_stack.last_mut() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let class_id = members.len();
-                    let mut component = Vec::new();
-                    loop {
-                        // dpm-lint: allow(no_panic, reason = "Tarjan's invariant: the stack holds the current SCC until its root pops it")
-                        let w = stack.pop().expect("tarjan stack invariant");
-                        on_stack[w] = false;
-                        class_of[w] = class_id;
-                        component.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    component.sort_unstable();
-                    members.push(component);
-                }
+                continue;
             }
-        }
-    }
-
-    let mut closed = vec![true; members.len()];
-    for (v, targets) in adj.iter().enumerate() {
-        if targets.iter().any(|&w| class_of[w] != class_of[v]) {
-            closed[class_of[v]] = false;
+            call_stack.pop();
+            if lowlink[v] == index[v] {
+                // The stack above and including `v` is its class.
+                let class_id = closed.len();
+                let first = members.len();
+                while let Some(w) = stack.pop() {
+                    on_stack[w] = false;
+                    class_of[w] = class_id;
+                    members.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                let class = &mut members[first..];
+                class.sort_unstable();
+                closed.push(class.iter().all(|&w| !leaves[w]));
+                offsets.push(members.len());
+            }
+            if let Some(&(parent, _)) = call_stack.last() {
+                lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                leaves[parent] |= !on_stack[v];
+            }
         }
     }
     Classes {
         class_of,
         members,
+        offsets,
         closed,
     }
 }
@@ -351,6 +374,121 @@ pub fn recurrent_states(generator: &Generator) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A random digraph with community structure: states fall into up to
+    /// eight blocks, a block may be a ring (strongly connected), edges
+    /// run within a block or to a higher one (so lower blocks are
+    /// transient and the top ones closed), a few edges run anywhere, some
+    /// edges carry rate zero (no edge), and some states are isolated.
+    fn structured_digraph() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
+        (1usize..=60).prop_flat_map(|n| {
+            (
+                Just(n),
+                prop::collection::vec((0usize..8, 0usize..6), n..=n),
+                1usize..=8,
+                prop::collection::vec(0usize..3, 8..=8),
+                prop::collection::vec((0..n, 0..n, 0usize..4, 0.1f64..10.0), 0..=2 * n),
+                prop::collection::vec((0..n, 0..n), 0..=3),
+            )
+                .prop_map(|(n, state_spec, k, ring, extra, wild)| {
+                    let block = |i: usize| state_spec[i].0 % k;
+                    let isolated = |i: usize| state_spec[i].1 == 0;
+                    let mut edges = Vec::new();
+                    for b in (0..k).filter(|&b| ring[b] > 0) {
+                        let members: Vec<usize> = (0..n).filter(|&i| block(i) == b).collect();
+                        for (l, &i) in members.iter().enumerate() {
+                            let j = members[(l + 1) % members.len()];
+                            edges.push((i, j, 1.0));
+                        }
+                    }
+                    for &(i, j, zero, rate) in &extra {
+                        if block(i) <= block(j) {
+                            edges.push((i, j, if zero == 0 { 0.0 } else { rate }));
+                        }
+                    }
+                    edges.extend(wild.iter().map(|&(i, j)| (i, j, 0.5)));
+                    edges.retain(|&(i, j, _)| i != j && !isolated(i) && !isolated(j));
+                    (n, edges)
+                })
+        })
+    }
+
+    /// `reach[i][j]`: `j` is reachable from `i` along positive-rate edges
+    /// (every state reaches itself).
+    fn reach_closure(n: usize, edges: &[(usize, usize, f64)]) -> Vec<Vec<bool>> {
+        let mut reach = vec![vec![false; n]; n];
+        for (start, seen) in reach.iter_mut().enumerate() {
+            seen[start] = true;
+            let mut queue = vec![start];
+            while let Some(v) = queue.pop() {
+                for &(i, j, rate) in edges {
+                    if i == v && rate > 0.0 && !seen[j] {
+                        seen[j] = true;
+                        queue.push(j);
+                    }
+                }
+            }
+        }
+        reach
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The dense and sparse entry points give equal decompositions,
+        /// and that decomposition is the mutual-reachability partition:
+        /// members ascend, a class is closed exactly when nothing outside
+        /// it is reachable, and classes come in reverse topological order
+        /// (a class reaches only classes numbered before it).
+        #[test]
+        fn flat_tarjan_matches_the_reachability_closure(
+            (n, edges) in structured_digraph()
+        ) {
+            let mut dense = Generator::builder(n);
+            for &(i, j, rate) in &edges {
+                dense.add_rate(i, j, rate);
+            }
+            let dense = communicating_classes(&dense.build().unwrap());
+            let sparse = communicating_classes_sparse(
+                &SparseGenerator::from_transitions(n, &edges).unwrap(),
+            );
+            prop_assert_eq!(&dense, &sparse);
+            let reach = reach_closure(n, &edges);
+            let classes = sparse;
+            for (i, from_i) in reach.iter().enumerate() {
+                for (j, &i_reaches_j) in from_i.iter().enumerate() {
+                    prop_assert_eq!(
+                        classes.class_of(i) == classes.class_of(j),
+                        i_reaches_j && reach[j][i]
+                    );
+                    if i_reaches_j {
+                        prop_assert!(classes.class_of(j) <= classes.class_of(i));
+                    }
+                }
+            }
+            let mut seen = 0;
+            let mut closed = Vec::new();
+            for (c, members) in classes.iter().enumerate() {
+                prop_assert!(!members.is_empty());
+                prop_assert!(members.windows(2).all(|w| w[0] < w[1]));
+                prop_assert_eq!(members, classes.members(c));
+                for &i in members {
+                    prop_assert_eq!(classes.class_of(i), c);
+                }
+                seen += members.len();
+                let is_closed = members
+                    .iter()
+                    .all(|&i| (0..n).all(|j| !reach[i][j] || classes.class_of(j) == c));
+                if is_closed {
+                    closed.push(members);
+                }
+            }
+            prop_assert_eq!(seen, n);
+            prop_assert_eq!(classes.len(), classes.iter().count());
+            prop_assert_eq!(classes.closed().collect::<Vec<_>>(), closed);
+        }
+    }
 
     fn chain(edges: &[(usize, usize)], n: usize) -> Generator {
         let mut b = Generator::builder(n);
